@@ -12,6 +12,12 @@
 //     serial in stream order). Every row is fingerprinted and any bit
 //     difference fails the harness.
 //
+//   * What does a cold pruned median cost when the relation has many
+//     rules? The world-size series runs the default tuple generator at
+//     N = 100k (M ~ 0.8N rules) and reports the cold world-size pmf
+//     build, the cold pruned-median kernel, and whether the pruned answer
+//     is identical to the unpruned one.
+//
 //   * Does blocked streaming preparation bound the preparation footprint?
 //     The RSS series prepares the same relation monolithically
 //     (materialize everything, one eager Prepare) and through
@@ -44,6 +50,7 @@
 #include "core/engine/prepared_builder.h"
 #include "core/engine/query_engine.h"
 #include "core/quantile_rank.h"
+#include "gen/tuple_gen.h"
 #include "model/attr_model.h"
 #include "model/tuple_model.h"
 #include "util/metrics.h"
@@ -195,6 +202,54 @@ std::vector<Measurement> TuplePruneSeries(const TupleRelation& rel, int n) {
   Measurement m = Row("tuple_quantile_pruned", n, 1, timer.ElapsedMs(),
                       unpruned_serial_ms,
                       TopKFingerprint(pruned.topk) == reference);
+  m.tuples_scanned = pruned.tuples_scanned;
+  series.push_back(m);
+  return series;
+}
+
+// ---------------------------------------------------------------------------
+// World-size series. The default tuple generator (seed 47) has M ~ 0.8N
+// rules, not the bounded-support scenario's few hundred, so the O(M^2)
+// world-size pmf every tuple-level rank distribution conditions on
+// dominates a cold pruned median that scans only a few dozen tuples. Each
+// cold row runs on a fresh preparation (both memoize the pmf); the
+// unpruned median, run with every hardware thread, is the reference
+// answer and the speedup baseline.
+
+std::vector<Measurement> WorldSizeSeries(int n) {
+  TupleGenConfig config;
+  config.num_tuples = n;
+  config.seed = 47;
+  const TupleRelation rel = GenerateTupleRelation(config);
+  const TiePolicy ties = TiePolicy::kBreakByIndex;
+  const int threads = ResolveThreads(0);
+  std::vector<Measurement> series;
+
+  const auto reference_prep = QueryEngine::Prepare(rel);
+  Timer unpruned_timer;
+  TupleQuantileRanks(*reference_prep, kPhi, ties,
+                     Par(threads, PlacementPolicy::kFlat), nullptr);
+  const std::vector<RankedTuple> unpruned =
+      TupleQuantileRankTopK(*reference_prep, kTopK, kPhi, ties);
+  const double unpruned_ms = unpruned_timer.ElapsedMs();
+  const std::uint64_t reference = TopKFingerprint(unpruned);
+  series.push_back(Row("tuple_median_unpruned_many_rules", n, threads,
+                       unpruned_ms, unpruned_ms, true));
+
+  {
+    const auto prepared = QueryEngine::Prepare(rel);
+    Timer timer;
+    prepared->WorldSize();
+    series.push_back(Row("world_size_pmf_cold", n, 1, timer.ElapsedMs(),
+                         unpruned_ms, true));
+  }
+
+  const auto prepared = QueryEngine::Prepare(rel);
+  Timer timer;
+  const PrunedTopKResult pruned =
+      TupleQuantileRankTopKPrune(*prepared, kTopK, kPhi, ties);
+  Measurement m = Row("tuple_median_pruned_cold", n, 1, timer.ElapsedMs(),
+                      unpruned_ms, TopKFingerprint(pruned.topk) == reference);
   m.tuples_scanned = pruned.tuples_scanned;
   series.push_back(m);
   return series;
@@ -420,7 +475,7 @@ void WriteJson(const std::string& path, const char* mode,
 }
 
 int RunHarness(const char* mode, int tuple_n, int tuple_rules, int attr_n,
-               int rss_n, const std::string& json_path) {
+               int rss_n, int world_n, const std::string& json_path) {
   std::vector<Measurement> all;
   {
     // First, before any other series pollutes the heap: freed glibc
@@ -435,6 +490,11 @@ int RunHarness(const char* mode, int tuple_n, int tuple_rules, int attr_n,
         testgen::BoundedSupportTupleRelation(tuple_n, tuple_rules, 200, 41);
     const auto series = TuplePruneSeries(rel, tuple_n);
     PrintSeries("tuple quantile top-k, pruned vs unpruned", series);
+    all.insert(all.end(), series.begin(), series.end());
+  }
+  {
+    const auto series = WorldSizeSeries(world_n);
+    PrintSeries("world-size pmf and cold pruned median, M ~ 0.8N", series);
     all.insert(all.end(), series.begin(), series.end());
   }
   {
@@ -477,11 +537,13 @@ int main(int argc, char** argv) {
     }
   }
   if (smoke) {
-    return urank::RunHarness("smoke", 100000, 128, 2000, 200000, json_path);
-  }
-  if (nightly) {
-    return urank::RunHarness("nightly", 300000, 256, 5000, 400000,
+    return urank::RunHarness("smoke", 100000, 128, 2000, 200000, 20000,
                              json_path);
   }
-  return urank::RunHarness("full", 1000000, 256, 20000, 1000000, json_path);
+  if (nightly) {
+    return urank::RunHarness("nightly", 300000, 256, 5000, 400000, 100000,
+                             json_path);
+  }
+  return urank::RunHarness("full", 1000000, 256, 20000, 1000000, 100000,
+                           json_path);
 }

@@ -4,6 +4,8 @@
 #include <numeric>
 
 #include "core/engine/trace.h"
+#include "core/internal/tuple_sweep.h"
+#include "core/quantile_rank.h"
 #include "core/rank_distribution_attr.h"
 #include "util/check.h"
 #include "util/metrics.h"
@@ -185,6 +187,12 @@ PreparedTupleRelation::SweepEntries(TiePolicy ties) const {
   });
 }
 
+std::shared_ptr<const internal::AbsentContext>
+PreparedTupleRelation::WorldSize() const {
+  return world_size_.GetOrCompute(
+      0, [&] { return internal::AbsentContext(rel_); });
+}
+
 int PreparedTupleRelation::PositionOfId(int id) const {
   const auto it = position_of_id_.find(id);
   return it == position_of_id_.end() ? -1 : it->second;
@@ -206,5 +214,20 @@ std::shared_ptr<const std::vector<double>> PreparedTupleRelation::CachedStat(
 bool PreparedTupleRelation::HasCachedStat(const StatKey& key) const {
   return stats_.Contains(key);
 }
+
+std::shared_ptr<const PrunedTopKResult>
+PreparedTupleRelation::CachedPrunedTopK(
+    const StatKey& key,
+    const std::function<PrunedTopKResult()>& compute) const {
+  using Result = std::shared_ptr<const PrunedTopKResult>;
+  return InstrumentedLookup<Result>([&](bool* computed) {
+    return pruned_.GetOrCompute(key, [&] {
+      *computed = true;
+      URANK_TRACE_SPAN("engine.stat_compute");
+      return compute();
+    });
+  });
+}
+
 
 }  // namespace urank

@@ -46,6 +46,12 @@
 
 namespace urank {
 
+struct PrunedTopKResult;  // core/quantile_rank.h
+
+namespace internal {
+struct AbsentContext;  // core/internal/tuple_sweep.h
+}  // namespace internal
+
 // Identifies one memoized per-tuple statistic vector. Parameters that do
 // not apply to a kind (e.g. `k` for expected ranks, `phi` for anything but
 // quantiles) are left at their zero defaults so unrelated queries share an
@@ -285,6 +291,17 @@ class PreparedTupleRelation {
   std::shared_ptr<const TupleSweepEntryTable> SweepEntries(
       TiePolicy ties) const;
 
+  // The world-size pmf every tuple-level rank distribution's absent
+  // branch conditions on (each rule's final mass folded into one Poisson
+  // binomial, O(M^2) for M rules), built on first use under single-flight
+  // discipline and then shared by every kernel over this relation. A
+  // mutable store publishes a fresh prepared relation per epoch, so this
+  // is one build per epoch.
+  std::shared_ptr<const internal::AbsentContext> WorldSize() const;
+
+  // How many times WorldSize() built the pmf: 0 before first use, 1 after.
+  long long world_size_builds() const { return world_size_.misses(); }
+
   // Memoized per-tuple statistic vector (see PreparedAttrRelation).
   std::shared_ptr<const std::vector<double>> CachedStat(
       const StatKey& key,
@@ -293,8 +310,19 @@ class PreparedTupleRelation {
   // True when the statistic for `key` has already been requested.
   bool HasCachedStat(const StatKey& key) const;
 
-  long long cache_hits() const { return stats_.hits(); }
-  long long cache_misses() const { return stats_.misses(); }
+  // Memoized pruned top-k quantile answer (TupleQuantileRankTopKPrune),
+  // keyed by a kQuantileRank StatKey carrying (k, phi, ties), with the
+  // same single-flight discipline as CachedStat. A separate table from
+  // the statistic memo: a pruned answer is a top-k selection, not the
+  // full statistic vector.
+  std::shared_ptr<const PrunedTopKResult> CachedPrunedTopK(
+      const StatKey& key,
+      const std::function<PrunedTopKResult()>& compute) const;
+
+  long long cache_hits() const { return stats_.hits() + pruned_.hits(); }
+  long long cache_misses() const {
+    return stats_.misses() + pruned_.misses();
+  }
 
  private:
   TupleRelation rel_;
@@ -304,8 +332,11 @@ class PreparedTupleRelation {
   internal::TupleShardPlan shard_plan_;
   std::unordered_map<int, int> position_of_id_;
   engine_internal::MemoTable<StatKey, std::vector<double>> stats_;
+  engine_internal::MemoTable<StatKey, PrunedTopKResult> pruned_;
   // Keyed by the tie policy.
   engine_internal::MemoTable<int, TupleSweepEntryTable> sweep_entries_;
+  // One entry, key 0: the pmf does not depend on the tie policy.
+  engine_internal::MemoTable<int, internal::AbsentContext> world_size_;
 };
 
 }  // namespace urank

@@ -142,6 +142,13 @@ long long TupleDpCells(const PreparedTupleRelation& p,
   }
 }
 
+// Tuples that needed no fresh computation: all n on a cache hit, the
+// unscanned suffix after a pruned run, none otherwise.
+long long TuplesPruned(long long n, bool prune, const QueryStats& stats) {
+  if (stats.reused_cache) return n;
+  return prune ? n - stats.tuples_scanned : 0;
+}
+
 // The dispatchers run the statistic-producing kernel through its
 // parallel-aware overload (which warms the memo cache and reports what it
 // did into `report`), then assemble the answer through the same selection
@@ -149,10 +156,11 @@ long long TupleDpCells(const PreparedTupleRelation& p,
 // one-shot entry points for any ParallelismOptions. Semantics without a
 // parallel kernel (linear scans, world enumeration) run serially and
 // leave `report` untouched.
-// `prune` is set only for kMedianRank/kQuantileRank cache misses with
-// QueryRequest::prune: the pruned top-k kernels return the identical
+// `prune` is set only for kMedianRank/kQuantileRank statistic-memo misses
+// with QueryRequest::prune: the pruned top-k kernels return the identical
 // answer while scanning a prefix of the expected-score order, and record
-// how far they got into `stats`.
+// how far they got into `stats`. Tuple-level pruned answers are memoized
+// per (k, phi, ties); a memo hit sets stats->reused_cache instead.
 RankingAnswer RunAttr(const PreparedAttrRelation& p, const RankingQuery& q,
                       const ParallelismOptions& par, KernelReport* report,
                       bool prune, QueryStats* stats) {
@@ -210,11 +218,22 @@ RankingAnswer RunTuple(const PreparedTupleRelation& p, const RankingQuery& q,
       const double phi =
           q.semantics == RankingSemantics::kMedianRank ? 0.5 : q.phi;
       if (prune) {
-        PrunedTopKResult pruned =
-            TupleQuantileRankTopKPrune(p, q.k, phi, q.ties);
-        stats->tuples_scanned = pruned.tuples_scanned;
-        stats->prune_stop_position = pruned.prune_stop_position;
-        return FromRanked(std::move(pruned.topk));
+        // Single-flight on (k, phi, ties): concurrent readers of one key
+        // wait for the first run instead of repeating it, and report a
+        // cache hit.
+        bool ran = false;
+        const auto pruned = p.CachedPrunedTopK(
+            {StatKey::Kind::kQuantileRank, q.k, phi, q.ties}, [&] {
+              ran = true;
+              return TupleQuantileRankTopKPrune(p, q.k, phi, q.ties);
+            });
+        if (ran) {
+          stats->tuples_scanned = pruned->tuples_scanned;
+          stats->prune_stop_position = pruned->prune_stop_position;
+        } else {
+          stats->reused_cache = true;
+        }
+        return FromRanked(pruned->topk);
       }
       TupleQuantileRanks(p, phi, q.ties, par, report);
       return FromRanked(TupleQuantileRankTopK(p, q.k, phi, q.ties));
@@ -451,8 +470,8 @@ QueryResult QueryEngine::RunResolved(const QueryRequest& request,
   const bool has_key = query.semantics != RankingSemantics::kUTopk;
   // Pruned execution applies to the quantile family only, and only on a
   // statistic-cache miss: a warmed memo makes the unpruned selection a
-  // cheap cache hit, and a pruned run never populates the memo (it
-  // evaluates a scanned prefix, not the full vector).
+  // cheap cache hit, and a pruned run never populates the statistic memo
+  // (it evaluates a scanned prefix, not the full vector).
   const bool want_prune =
       request.prune &&
       (query.semantics == RankingSemantics::kMedianRank ||
@@ -480,8 +499,8 @@ QueryResult QueryEngine::RunResolved(const QueryRequest& request,
               ? 0
               : (prune ? result.stats.tuples_scanned * attr.size()
                        : AttrDpCells(attr, query));
-      result.stats.tuples_pruned =
-          result.stats.reused_cache ? attr.size() : 0;
+      result.stats.tuples_pruned = TuplesPruned(attr.size(), prune,
+                                                result.stats);
     } else {
       const PreparedTupleRelation& tuple = *resolved.tuple;
       result.stats.reused_cache =
@@ -489,14 +508,15 @@ QueryResult QueryEngine::RunResolved(const QueryRequest& request,
       const bool prune = want_prune && !result.stats.reused_cache;
       result.answer =
           RunTuple(tuple, query, par, &report, prune, &result.stats);
+      // RunTuple sets reused_cache itself on a pruned-answer memo hit.
       const long long m = tuple.relation().num_rules();
       result.stats.dp_cells =
           result.stats.reused_cache
               ? 0
               : (prune ? 2 * result.stats.tuples_scanned * (m + 1)
                        : TupleDpCells(tuple, query));
-      result.stats.tuples_pruned =
-          result.stats.reused_cache ? tuple.size() : 0;
+      result.stats.tuples_pruned = TuplesPruned(tuple.size(), prune,
+                                                result.stats);
     }
   }
   em.dp_cells.Increment(result.stats.dp_cells);

@@ -128,7 +128,9 @@ struct QueryStats {
   double wall_ms = 0.0;
   // True when the statistic vector this query ranks by was already in the
   // prepared cache (or, for attribute-level expected scores, built eagerly
-  // at preparation), so no per-tuple recomputation ran. U-Topk answers are
+  // at preparation), or when a tuple-level pruned request was served from
+  // the pruned-answer memo (including a wait on a concurrent run of the
+  // same key), so no per-tuple recomputation ran. U-Topk answers are
   // k-specific DPs and are never memoized: always false there.
   bool reused_cache = false;
   // Coarse count of dynamic-program cells (or equivalent inner-loop
@@ -137,7 +139,8 @@ struct QueryStats {
   // relative comparison between queries, not a precise FLOP count.
   long long dp_cells = 0;
   // Tuples whose statistic required no fresh computation: the full
-  // relation size on a cache hit, 0 otherwise.
+  // relation size on a cache hit, N - tuples_scanned after a pruned run,
+  // 0 otherwise.
   long long tuples_pruned = 0;
   // Worker slots the statistic computation actually used (the calling
   // thread included): 1 for serial execution, a cache hit, or a semantics
@@ -211,12 +214,15 @@ struct QueryRequest {
   // top-k kernels (core/quantile_rank.h), which sweep tuples in
   // expected-score order and stop once the remaining suffix provably
   // cannot enter the top-k. Answers are bit-identical to the unpruned
-  // kernels; only QueryStats (tuples_scanned, prune_stop_position,
-  // dp_cells) and the execution schedule change. A pruned run computes a
-  // top-k selection, not the full statistic vector, so it never populates
-  // the statistic memo — and when the memo already holds the vector, the
-  // cached (cheaper) path is served instead. Ignored for every other
-  // semantics.
+  // kernels; only QueryStats (tuples_scanned, tuples_pruned,
+  // prune_stop_position, dp_cells) and the execution schedule change. A
+  // pruned run computes a top-k selection, not the full statistic vector,
+  // so it does not populate the statistic memo — and when that memo
+  // already holds the vector, the cached (cheaper) path is served instead.
+  // Tuple-level pruned answers are memoized on their own, per (k, phi,
+  // ties): a repeat of the key, or a concurrent reader waiting on its
+  // first run, is served from that memo (reused_cache = true, dp_cells =
+  // 0). Ignored for every other semantics.
   bool prune = false;
   // Minimum epoch this query may run against (read-your-writes gating for
   // mutable-backed engines): when the engine's latest published epoch is

@@ -6,7 +6,6 @@
 #include "util/check.h"
 #include "util/kernel_annotations.h"
 #include "util/parallel.h"
-#include "util/poisson_binomial.h"
 
 namespace urank {
 namespace internal {
@@ -24,6 +23,31 @@ URANK_KERNEL bool BufDeconvolveTrial(const vk::KernelOps& ops,
   const size_t n = src.size() - 1;
   out->resize(n);
   return ops.deconvolve_trial(src.data(), n, p, out->data());
+}
+
+URANK_KERNEL void FoldTrialsBanded(const vk::KernelOps& ops,
+                                   const double* masses, size_t m, int skip,
+                                   AlignedBuf* out) {
+  const auto folded = [&](size_t r) {
+    return static_cast<int>(r) != skip && masses[r] > 0.0;
+  };
+  size_t len = 1;  // one entry per folded trial, plus one
+  for (size_t r = 0; r < m; ++r) len += folded(r) ? 1 : 0;
+  out->resize(len);
+  double* v = out->data();
+  v[0] = 1.0;
+  size_t lo = 0;
+  size_t hi = 1;
+  for (size_t r = 0; r < m; ++r) {
+    if (!folded(r)) continue;
+    ops.convolve_trial(v + lo, hi - lo, masses[r]);
+    ++hi;
+    // A pmf always keeps a positive entry, so the band never empties.
+    while (lo + 1 < hi && v[lo] == 0.0) ++lo;
+    while (hi - 1 > lo && v[hi - 1] == 0.0) --hi;
+  }
+  std::fill(v, v + lo, 0.0);
+  std::fill(v + hi, v + len, 0.0);
 }
 
 std::vector<int> TupleRankOrder(const TupleRelation& rel) {
@@ -92,13 +116,8 @@ URANK_KERNEL void ReplayTuplePrefix(const TupleRelation& rel,
 }
 
 URANK_KERNEL void ChunkSweep::Rebuild(AlignedBuf* out, int skip_rule) const {
-  out->assign(1, 1.0);
-  const int m = rel.num_rules();
-  for (int r = 0; r < m; ++r) {
-    if (r == skip_rule) continue;
-    const double v = cur[static_cast<size_t>(r)];
-    if (v > 0.0) BufConvolveTrial(ops, out, v);
-  }
+  FoldTrialsBanded(ops, cur.data(), static_cast<size_t>(rel.num_rules()),
+                   skip_rule, out);
 }
 
 URANK_KERNEL const AlignedBuf* ChunkSweep::WithoutRule(int r,
@@ -169,12 +188,11 @@ URANK_KERNEL size_t SweepAppearChunk(
 AbsentContext::AbsentContext(const TupleRelation& rel) {
   const int m = rel.num_rules();
   rule_sums.resize(static_cast<size_t>(m));
-  pmf_all.assign(1, 1.0);
   for (int r = 0; r < m; ++r) {
-    const double v = std::min(rel.rule_prob_sum(r), 1.0);
-    rule_sums[static_cast<size_t>(r)] = v;
-    if (v > 0.0) PbConvolveTrial(&pmf_all, v);
+    rule_sums[static_cast<size_t>(r)] = std::min(rel.rule_prob_sum(r), 1.0);
   }
+  FoldTrialsBanded(vk::Active(), rule_sums.data(), rule_sums.size(), -1,
+                   &pmf_all);
 }
 
 URANK_KERNEL void AbsentContext::ConditionalWorldSize(const vk::KernelOps& ops,
@@ -186,11 +204,7 @@ URANK_KERNEL void AbsentContext::ConditionalWorldSize(const vk::KernelOps& ops,
     out->resize(n);
     if (!ops.deconvolve_trial(pmf_all.data(), n, v, out->data())) {
       // Deterministic fallback: rebuild the reduced product directly.
-      out->assign(1, 1.0);
-      for (size_t r2 = 0; r2 < rule_sums.size(); ++r2) {
-        if (static_cast<int>(r2) == r) continue;
-        if (rule_sums[r2] > 0.0) BufConvolveTrial(ops, out, rule_sums[r2]);
-      }
+      FoldTrialsBanded(ops, rule_sums.data(), rule_sums.size(), r, out);
     }
   } else {
     out->assign(pmf_all.data(), pmf_all.size());

@@ -37,6 +37,17 @@ void BufConvolveTrial(const vk::KernelOps& ops, AlignedBuf* pmf, double p);
 bool BufDeconvolveTrial(const vk::KernelOps& ops, const AlignedBuf& src,
                         double p, AlignedBuf* out);
 
+// The Poisson binomial prod_r (1 - p_r + p_r x) over the positive entries
+// of masses[0, m), skipping index `skip` (-1 for none), folded left to
+// right in index order into `out` (size 1 + #positive masses). Each trial
+// is convolved only over the pmf's nonzero band [lo, hi), and the band
+// edges advance past entries that are exactly 0.0. Outside the band every
+// coefficient is 0 and 0*q + 0*p = +0, and convolve_trial performs one
+// rounding per multiply and add with no FMA contraction, so the result is
+// bit-identical to the plain left fold over the whole vector.
+void FoldTrialsBanded(const vk::KernelOps& ops, const double* masses,
+                      std::size_t m, int skip, AlignedBuf* out);
+
 // Index order sorted by (score desc, index asc): the sweep order in which
 // "already processed" means "ranked above" (exactly, under kBreakByIndex;
 // up to the current equal-score run, under kStrictGreater).
@@ -112,13 +123,14 @@ std::size_t SweepAppearChunk(
     const TupleSweepStopFn* stop = nullptr);
 
 // Shared absent-branch state: the pristine world-size Poisson binomial
-// over final rule masses. Built once, sequentially, in rule-index order;
+// over final rule masses. Built once, sequentially, in rule-index order
+// (PreparedTupleRelation::WorldSize memoizes one per prepared relation);
 // chunk workers only ever *read* pmf_all (deconvolving into their own
 // arena buffers), so concurrent access needs no synchronization and the
 // result cannot depend on tuple visit order.
 struct AbsentContext {
   std::vector<double> rule_sums;  // min(rule mass, 1) per rule
-  std::vector<double> pmf_all;    // Poisson binomial over nonzero sums
+  AlignedBuf pmf_all;             // Poisson binomial over nonzero sums
 
   explicit AbsentContext(const TupleRelation& rel);
 

@@ -157,15 +157,17 @@ std::vector<int> TupleQuantileRanks(const PreparedTupleRelation& prepared,
     std::vector<double> ranks(static_cast<size_t>(prepared.size()), 0.0);
     // Chunk callbacks write disjoint positions, so concurrent chunks need
     // no further coordination. The memoized entry table lets each chunk
-    // start from its precomputed prefix state.
+    // start from its precomputed prefix state, and the memoized world-size
+    // pmf is shared with every other kernel over this relation.
     const auto entries = prepared.SweepEntries(ties);
+    const auto world = prepared.WorldSize();
     ForEachTupleRankDistribution(
         prepared.relation(), prepared.rank_order(), ties, par, report,
         [&](int /*chunk*/, int i, std::span<const double> dist) {
           ranks[static_cast<size_t>(i)] =
               static_cast<double>(QuantileFromPmf(dist, phi));
         },
-        entries.get());
+        entries.get(), world.get());
     return ranks;
   });
   return std::vector<int>(stat->begin(), stat->end());

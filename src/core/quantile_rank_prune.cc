@@ -125,7 +125,8 @@ URANK_KERNEL PrunedTopKResult TupleQuantileRankTopKPrune(
   const auto entries = prepared.SweepEntries(ties);
   const std::vector<size_t>& starts = entries->starts;
   const int chunks = static_cast<int>(starts.size()) - 1;
-  const internal::AbsentContext absent(rel);
+  const auto world = prepared.WorldSize();
+  const internal::AbsentContext& absent = *world;
   internal::KernelArena arena;
   const vk::KernelOps& ops = vk::Active();
   KBestHeap heap(k, n);

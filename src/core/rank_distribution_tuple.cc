@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "core/internal/kernel_arena.h"
 #include "core/internal/tuple_sweep.h"
@@ -95,7 +96,8 @@ URANK_KERNEL void ForEachTupleRankDistribution(
     const TupleRelation& rel, const std::vector<int>& rank_order,
     TiePolicy ties, const ParallelismOptions& par, KernelReport* report,
     const std::function<void(int, int, std::span<const double>)>& fn,
-    const TupleSweepEntryTable* entries) {
+    const TupleSweepEntryTable* entries,
+    const internal::AbsentContext* world_size) {
   const int n = rel.size();
   // The grid is identical either way (the table stores
   // PlanTupleChunkStarts's output); reusing the table's copy just skips
@@ -105,7 +107,9 @@ URANK_KERNEL void ForEachTupleRankDistribution(
                          : internal::PlanTupleChunkStarts(rel, rank_order,
                                                           ties);
   const int chunks = static_cast<int>(starts.size()) - 1;
-  const internal::AbsentContext absent(rel);
+  std::optional<internal::AbsentContext> local;
+  if (world_size == nullptr) world_size = &local.emplace(rel);
+  const internal::AbsentContext& absent = *world_size;
   const int workers = PlannedWorkers(par, n);
   std::vector<internal::KernelArena> arenas(static_cast<size_t>(workers));
 

@@ -42,6 +42,10 @@
 
 namespace urank {
 
+namespace internal {
+struct AbsentContext;  // core/internal/tuple_sweep.h
+}  // namespace internal
+
 // Streaming form: invokes `fn(index, dist)` once per tuple with that
 // tuple's Definition-7 rank distribution (size N+1). The span passed to
 // `fn` views a 64-byte aligned scratch buffer reused between calls; copy
@@ -88,12 +92,16 @@ TupleSweepEntryTable BuildTupleSweepEntryTable(
 // `report`, when non-null, is Merge()d with the threads/nodes/arena-bytes
 // used. `entries`, when non-null, must be the table built for the same
 // (rel, rank_order, ties) — chunks then start from the precomputed entry
-// state instead of replaying their prefix.
+// state instead of replaying their prefix. `world_size`, when non-null,
+// must be the world-size pmf built for `rel`
+// (PreparedTupleRelation::WorldSize memoizes it) and replaces the O(M^2)
+// build every call otherwise pays.
 void ForEachTupleRankDistribution(
     const TupleRelation& rel, const std::vector<int>& rank_order,
     TiePolicy ties, const ParallelismOptions& par, KernelReport* report,
     const std::function<void(int, int, std::span<const double>)>& fn,
-    const TupleSweepEntryTable* entries = nullptr);
+    const TupleSweepEntryTable* entries = nullptr,
+    const internal::AbsentContext* world_size = nullptr);
 
 // Streaming positional probabilities: invokes `fn(index, row)` once per
 // tuple where row[c] = Pr[t_i present and ranked c-th among appearing

@@ -181,6 +181,46 @@ TupleRelation BoundedSupportTupleRelation(int n, int rules, int singletons,
   return TupleRelation(std::move(tuples), std::move(rule_members));
 }
 
+TupleRelation DeconvolutionStressTupleRelation(int n, uint64_t seed) {
+  URANK_CHECK_MSG(n >= 0, "n must be >= 0");
+  Rng rng(seed);
+  std::vector<double> scores = DistinctScores(n, rng);
+  std::sort(scores.begin(), scores.end(), std::greater<double>());
+  const int rules = n / 2;
+  std::vector<TLTuple> tuples(static_cast<size_t>(n));
+  std::vector<std::vector<int>> rule_members(static_cast<size_t>(rules));
+  for (int r = 0; r < rules; ++r) {
+    double mass = 0.0;
+    switch (r % 4) {
+      case 0:
+        mass = 0.5;
+        break;
+      case 1:
+        mass = 1.0;
+        break;
+      case 2:
+        mass = 1e-12;
+        break;
+      default:
+        mass = rng.Uniform(0.05, 0.95);
+        break;
+    }
+    // Member j of rule r holds the (j * rules + r)-th largest score; the
+    // halves sum back to `mass` exactly (halving is exact in binary).
+    for (int j = 0; j < 2; ++j) {
+      const int i = j * rules + r;
+      tuples[static_cast<size_t>(i)] =
+          TLTuple{i, scores[static_cast<size_t>(i)], mass / 2.0};
+      rule_members[static_cast<size_t>(r)].push_back(i);
+    }
+  }
+  if (n % 2 == 1) {
+    tuples[static_cast<size_t>(n - 1)] =
+        TLTuple{n - 1, scores[static_cast<size_t>(n - 1)], 0.5};
+  }
+  return TupleRelation(std::move(tuples), std::move(rule_members));
+}
+
 TupleBlocks SplitIntoBlocks(const TupleRelation& rel, int block) {
   URANK_CHECK_MSG(block >= 1, "block must be >= 1");
   TupleBlocks out;

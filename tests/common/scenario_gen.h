@@ -17,7 +17,9 @@
 //     chunk carries mass for every rule;
 //   * wide-rule scale relations — the cheap deterministic construction
 //     the N=1M benchmarks use: ~`rules` wide exclusion rules plus
-//     independent tuples, buildable in O(N).
+//     independent tuples, buildable in O(N);
+//   * deconvolution stress — rule masses at the numerically hardest
+//     points for the Poisson-binomial division the tuple sweeps use.
 //
 // All generators are deterministic functions of their arguments (fixed
 // seed => fixed relation) and produce valid relations with ids 0..N-1.
@@ -78,6 +80,21 @@ TupleRelation WideRuleTupleRelation(int n, int rules, uint64_t seed);
 // 0 <= singletons <= n.
 TupleRelation BoundedSupportTupleRelation(int n, int rules, int singletons,
                                           uint64_t seed);
+
+// Deconvolution-stress relation: two-member rules (striped across the
+// score range like the adversarial graph) whose masses cycle through
+// exactly 1/2, where deconvolve_trial's division recurrence has
+// multiplier |p/(1-p)| = 1 and round-off stops decaying; exactly 1, a
+// pure shift that leaves exact zeros at the bottom of the pmf; 1e-12,
+// the sweep epsilon, which drives the pmf's upper tail subnormal; and a
+// uniform draw in [0.05, 0.95]. An odd n adds one independent tuple at
+// probability 1/2. Even these inputs do not make the vector kernels'
+// deconvolve_trial report cancellation on any dispatch target: its
+// direction choice keeps the recurrence multiplier <= 1, so round-off
+// stays near 1e-16 against a 1e-9 gate. Tests that need the rebuild
+// fallback force it through a KernelOps table whose deconvolve_trial
+// fails. Requires n >= 0.
+TupleRelation DeconvolutionStressTupleRelation(int n, uint64_t seed);
 
 // Splits `rel` into contiguous blocks of `block` tuples (the last one
 // ragged) for feeding PreparedTupleRelationBuilder: returns per-block

@@ -313,6 +313,45 @@ TEST_P(TupleEpochIdentityTest, BatchApplyMatchesFromScratchPrepare) {
   }
 }
 
+// The pruned median answers every epoch from that epoch's own memos (its
+// world-size pmf and its pruned-answer table reset with each publish),
+// and must still equal a from-scratch prepare's unpruned answer.
+TEST_P(TupleEpochIdentityTest, PrunedMedianMatchesFromScratchUnpruned) {
+  MutableRelationOptions options;
+  options.delta_merge_threshold = GetParam();
+  options.compact_min_dead = 8;
+  const TupleRelation rel = testgen::AdversarialRuleTupleRelation(60, 5, 31);
+  MutableTupleRelation store(rel, options);
+  TupleShadow shadow;
+  shadow.Seed(rel);
+  Rng rng(303);
+  int next_id = 100000;
+  for (int round = 0; round < 6; ++round) {
+    const auto snap = store.Snapshot();
+    EXPECT_EQ(snap.prepared->world_size_builds(), 0)
+        << "epoch " << snap.epoch;
+    QueryEngine incremental(snap.prepared);
+    QueryEngine eager{shadow.EagerRelation()};
+    for (int threads : {1, 2, 8}) {
+      QueryRequest request = Req(RankingSemantics::kMedianRank, 10, threads);
+      const QueryResult want = eager.Run(request);
+      request.prune = true;
+      const QueryResult got = incremental.Run(request);
+      ASSERT_TRUE(got.status.ok()) << got.status.message;
+      EXPECT_EQ(got.answer.ids, want.answer.ids) << "epoch " << snap.epoch;
+      EXPECT_EQ(got.answer.statistics, want.answer.statistics)
+          << "epoch " << snap.epoch;
+    }
+    EXPECT_EQ(snap.prepared->world_size_builds(), 1)
+        << "epoch " << snap.epoch;
+    const int ops = static_cast<int>(rng.UniformInt(1, 12));
+    for (int i = 0; i < ops; ++i) {
+      RandomTupleMutation(rng, &next_id, &store, &shadow);
+    }
+    store.Publish();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(DeltaMergeThresholds, TupleEpochIdentityTest,
                          ::testing::Values(std::size_t{1}, std::size_t{8},
                                            std::size_t{1} << 20));

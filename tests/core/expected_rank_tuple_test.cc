@@ -1,5 +1,6 @@
 #include "core/expected_rank_tuple.h"
 
+#include <cstdint>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -76,8 +77,11 @@ TEST(TupleExpectedRanksTest, TiesUnderBothPolicies) {
                     {0.0, 1.0}, 1e-12);
 }
 
+// `n` is 64-bit so the struct has no padding: gtest names each instance
+// by the parameter's raw bytes, and uninitialised padding made those
+// names change from run to run.
 struct TupleCrossParam {
-  int n;
+  int64_t n;
   uint64_t seed;
 };
 
@@ -88,7 +92,7 @@ TEST_P(TupleExpectedRankCrossCheck, FastEqualsBruteForceEqualsEnumeration) {
   const TupleCrossParam param = GetParam();
   Rng rng(param.seed);
   for (int trial = 0; trial < 8; ++trial) {
-    TupleRelation rel = RandomSmallTuple(rng, param.n);
+    TupleRelation rel = RandomSmallTuple(rng, static_cast<int>(param.n));
     for (TiePolicy ties :
          {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
       const std::vector<double> fast = TupleExpectedRanks(rel, ties);

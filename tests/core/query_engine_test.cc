@@ -254,6 +254,101 @@ TEST(QueryEngineStats, BatchComputesContendedStatisticExactlyOnce) {
   EXPECT_EQ(prepared->cache_hits(), 7);
 }
 
+QueryRequest PrunedMedian(int k) {
+  QueryRequest request;
+  request.options.semantics = RankingSemantics::kMedianRank;
+  request.options.k = k;
+  request.prune = true;
+  return request;
+}
+
+TEST(QueryEngineStats, WorldSizePmfIsBuiltOncePerPreparedRelation) {
+  const auto prepared = QueryEngine::Prepare(MakeTuple(300, 41));
+  const QueryEngine engine(prepared);
+  EXPECT_EQ(prepared->world_size_builds(), 0);
+
+  QueryRequest quantile;
+  quantile.options.semantics = RankingSemantics::kQuantileRank;
+  quantile.options.k = 10;
+  quantile.options.phi = 0.25;
+  const std::vector<QueryRequest> batch = {
+      PrunedMedian(10), PrunedMedian(100), quantile,
+      PrunedMedian(10), PrunedMedian(100), PrunedMedian(10)};
+  const std::vector<QueryResult> results = engine.RunBatch(batch, 8);
+  for (const QueryResult& r : results) ASSERT_TRUE(r.status.ok());
+
+  // Two pruned keys and one unpruned quantile, run concurrently, share one
+  // world-size pmf build.
+  EXPECT_EQ(prepared->world_size_builds(), 1);
+  // Each distinct key runs once; the repeats wait on (or hit) its result.
+  EXPECT_EQ(prepared->cache_misses(), 3);
+  int reused_k10 = 0;
+  int reused_k100 = 0;
+  for (size_t i : {0u, 3u, 5u}) reused_k10 += results[i].stats.reused_cache;
+  for (size_t i : {1u, 4u}) reused_k100 += results[i].stats.reused_cache;
+  EXPECT_EQ(reused_k10, 2);
+  EXPECT_EQ(reused_k100, 1);
+
+  // Same answers as an unpruned run on a fresh prepare.
+  const QueryEngine fresh(MakeTuple(300, 41));
+  for (size_t i = 0; i < batch.size(); ++i) {
+    QueryRequest unpruned = batch[i];
+    unpruned.prune = false;
+    const QueryResult want = fresh.Run(unpruned);
+    EXPECT_EQ(results[i].answer.ids, want.answer.ids) << i;
+    EXPECT_EQ(results[i].answer.statistics, want.answer.statistics) << i;
+  }
+
+  // Later kernels over the same relation keep reusing the one build.
+  quantile.options.phi = 0.75;
+  ASSERT_TRUE(engine.Run(quantile).status.ok());
+  EXPECT_EQ(prepared->world_size_builds(), 1);
+}
+
+TEST(QueryEngineStats, PrunedAnswerHitReusesTheFirstRun) {
+  const QueryEngine engine(MakeTuple(300, 43));
+  const QueryResult cold = engine.Run(PrunedMedian(10));
+  ASSERT_TRUE(cold.status.ok());
+  EXPECT_FALSE(cold.stats.reused_cache);
+  EXPECT_GT(cold.stats.tuples_scanned, 0);
+  EXPECT_GT(cold.stats.dp_cells, 0);
+
+  const QueryResult hit = engine.Run(PrunedMedian(10));
+  ASSERT_TRUE(hit.status.ok());
+  EXPECT_TRUE(hit.stats.reused_cache);
+  EXPECT_EQ(hit.stats.dp_cells, 0);
+  EXPECT_EQ(hit.stats.tuples_scanned, 0);
+  EXPECT_EQ(hit.stats.prune_stop_position, -1);
+  EXPECT_EQ(hit.stats.tuples_pruned, 300);
+  EXPECT_EQ(hit.answer.ids, cold.answer.ids);
+  EXPECT_EQ(hit.answer.statistics, cold.answer.statistics);
+
+  // Another k is another key: a fresh pruned run.
+  EXPECT_FALSE(engine.Run(PrunedMedian(11)).stats.reused_cache);
+}
+
+TEST(QueryEngineStats, PrunedRunReportsUnscannedTuplesAsPruned) {
+  const QueryResult tuple = QueryEngine(MakeTuple(300, 47)).Run(
+      PrunedMedian(10));
+  ASSERT_TRUE(tuple.status.ok());
+  EXPECT_FALSE(tuple.stats.reused_cache);
+  EXPECT_LT(tuple.stats.tuples_scanned, 300);
+  EXPECT_EQ(tuple.stats.tuples_pruned, 300 - tuple.stats.tuples_scanned);
+
+  const QueryResult attr = QueryEngine(MakeAttr(200, 47)).Run(
+      PrunedMedian(5));
+  ASSERT_TRUE(attr.status.ok());
+  EXPECT_FALSE(attr.stats.reused_cache);
+  EXPECT_GT(attr.stats.tuples_scanned, 0);
+  EXPECT_EQ(attr.stats.tuples_pruned, 200 - attr.stats.tuples_scanned);
+
+  // Without prune nothing is skipped on a cold run.
+  QueryRequest plain = PrunedMedian(10);
+  plain.prune = false;
+  EXPECT_EQ(QueryEngine(MakeTuple(300, 47)).Run(plain).stats.tuples_pruned,
+            0);
+}
+
 TEST(QueryEngineSparseIds, HugeTupleIdsUseNoPositionalArray) {
   // Regression: the facade used to build a position array indexed by the
   // maximum id, so a single id near 10^9 allocated gigabytes. The id index

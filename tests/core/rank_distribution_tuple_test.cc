@@ -1,5 +1,6 @@
 #include "core/rank_distribution_tuple.h"
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -93,8 +94,11 @@ TEST(TupleRankDistributionTest, StreamingFormAgreesWithMatrixForm) {
   EXPECT_EQ(visited, rel.size());
 }
 
+// `n` is 64-bit so the struct has no padding: gtest names each instance
+// by the parameter's raw bytes, and uninitialised padding made those
+// names change from run to run.
 struct TupleDistParam {
-  int n;
+  int64_t n;
   uint64_t seed;
 };
 
@@ -105,7 +109,7 @@ TEST_P(TupleRankDistributionCrossCheck, MatchesEnumeration) {
   const TupleDistParam param = GetParam();
   Rng rng(param.seed);
   for (int trial = 0; trial < 6; ++trial) {
-    TupleRelation rel = RandomSmallTuple(rng, param.n);
+    TupleRelation rel = RandomSmallTuple(rng, static_cast<int>(param.n));
     for (TiePolicy ties :
          {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
       const auto dp = TupleRankDistributions(rel, ties);
@@ -131,7 +135,7 @@ TEST_P(TuplePositionalCrossCheck, MatchesEnumeration) {
   const TupleDistParam param = GetParam();
   Rng rng(param.seed);
   for (int trial = 0; trial < 6; ++trial) {
-    TupleRelation rel = RandomSmallTuple(rng, param.n);
+    TupleRelation rel = RandomSmallTuple(rng, static_cast<int>(param.n));
     for (TiePolicy ties :
          {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
       const auto dp = TuplePositionalProbabilities(rel, ties);
