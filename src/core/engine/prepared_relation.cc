@@ -7,6 +7,7 @@
 #include "core/internal/tuple_sweep.h"
 #include "core/quantile_rank.h"
 #include "core/rank_distribution_attr.h"
+#include "core/semantics/u_topk.h"
 #include "util/check.h"
 #include "util/metrics.h"
 
@@ -31,10 +32,18 @@ struct StatCacheMetrics {
   }
 };
 
-template <typename T, typename Fn>
-T InstrumentedLookup(const Fn& lookup) {
+// One instrumented single-flight lookup into `table`; a miss runs
+// `compute` inside the stat-compute trace span.
+template <typename Key, typename Value, typename Fn>
+std::shared_ptr<const Value> InstrumentedLookup(
+    const engine_internal::MemoTable<Key, Value>& table, const Key& key,
+    const Fn& compute) {
   bool computed = false;
-  T result = lookup(&computed);
+  std::shared_ptr<const Value> result = table.GetOrCompute(key, [&] {
+    computed = true;
+    URANK_TRACE_SPAN("engine.stat_compute");
+    return compute();
+  });
   const StatCacheMetrics& cm = StatCacheMetrics::Get();
   (computed ? cm.misses : cm.hits).Increment();
   return result;
@@ -102,31 +111,24 @@ std::shared_ptr<const std::vector<std::vector<double>>>
 PreparedAttrRelation::RankDistributions(TiePolicy ties,
                                         const ParallelismOptions& par,
                                         KernelReport* report) const {
-  using Result = std::shared_ptr<const std::vector<std::vector<double>>>;
-  return InstrumentedLookup<Result>([&](bool* computed) {
-    return dists_.GetOrCompute(static_cast<int>(ties), [&] {
-      *computed = true;
-      URANK_TRACE_SPAN("engine.stat_compute");
-      return AttrRankDistributions(rel_, sorted_pdfs_, ties, par, report);
-    });
+  return InstrumentedLookup(dists_, static_cast<int>(ties), [&] {
+    return AttrRankDistributions(rel_, sorted_pdfs_, ties, par, report);
   });
 }
 
 std::shared_ptr<const std::vector<double>> PreparedAttrRelation::CachedStat(
     const StatKey& key,
     const std::function<std::vector<double>()>& compute) const {
-  using Result = std::shared_ptr<const std::vector<double>>;
-  return InstrumentedLookup<Result>([&](bool* computed) {
-    return stats_.GetOrCompute(key, [&] {
-      *computed = true;
-      URANK_TRACE_SPAN("engine.stat_compute");
-      return compute();
-    });
-  });
+  return InstrumentedLookup(stats_, key, compute);
 }
 
 bool PreparedAttrRelation::HasCachedStat(const StatKey& key) const {
   return stats_.Contains(key);
+}
+
+std::shared_ptr<const UTopKAnswer> PreparedAttrRelation::CachedUTopK(
+    int k, const std::function<UTopKAnswer()>& compute) const {
+  return InstrumentedLookup(utopk_, k, compute);
 }
 
 PreparedTupleRelation::PreparedTupleRelation(TupleRelation rel)
@@ -201,14 +203,7 @@ int PreparedTupleRelation::PositionOfId(int id) const {
 std::shared_ptr<const std::vector<double>> PreparedTupleRelation::CachedStat(
     const StatKey& key,
     const std::function<std::vector<double>()>& compute) const {
-  using Result = std::shared_ptr<const std::vector<double>>;
-  return InstrumentedLookup<Result>([&](bool* computed) {
-    return stats_.GetOrCompute(key, [&] {
-      *computed = true;
-      URANK_TRACE_SPAN("engine.stat_compute");
-      return compute();
-    });
-  });
+  return InstrumentedLookup(stats_, key, compute);
 }
 
 bool PreparedTupleRelation::HasCachedStat(const StatKey& key) const {
@@ -219,15 +214,12 @@ std::shared_ptr<const PrunedTopKResult>
 PreparedTupleRelation::CachedPrunedTopK(
     const StatKey& key,
     const std::function<PrunedTopKResult()>& compute) const {
-  using Result = std::shared_ptr<const PrunedTopKResult>;
-  return InstrumentedLookup<Result>([&](bool* computed) {
-    return pruned_.GetOrCompute(key, [&] {
-      *computed = true;
-      URANK_TRACE_SPAN("engine.stat_compute");
-      return compute();
-    });
-  });
+  return InstrumentedLookup(pruned_, key, compute);
 }
 
+std::shared_ptr<const UTopKAnswer> PreparedTupleRelation::CachedUTopK(
+    int k, const std::function<UTopKAnswer()>& compute) const {
+  return InstrumentedLookup(utopk_, k, compute);
+}
 
 }  // namespace urank

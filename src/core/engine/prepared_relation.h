@@ -47,6 +47,7 @@
 namespace urank {
 
 struct PrunedTopKResult;  // core/quantile_rank.h
+struct UTopKAnswer;       // core/semantics/u_topk.h
 
 namespace internal {
 struct AbsentContext;  // core/internal/tuple_sweep.h
@@ -223,11 +224,17 @@ class PreparedAttrRelation {
   // True when the statistic for `key` has already been requested.
   bool HasCachedStat(const StatKey& key) const;
 
+  // Memoized U-Topk answer for `k`, with the same single-flight
+  // discipline as CachedStat: the answer is k-specific, so it has its own
+  // table rather than a statistic vector.
+  std::shared_ptr<const UTopKAnswer> CachedUTopK(
+      int k, const std::function<UTopKAnswer()>& compute) const;
+
   long long cache_hits() const {
-    return stats_.hits() + dists_.hits();
+    return stats_.hits() + dists_.hits() + utopk_.hits();
   }
   long long cache_misses() const {
-    return stats_.misses() + dists_.misses();
+    return stats_.misses() + dists_.misses() + utopk_.misses();
   }
 
  private:
@@ -242,6 +249,8 @@ class PreparedAttrRelation {
   engine_internal::MemoTable<StatKey, std::vector<double>> stats_;
   // Keyed by the tie policy.
   engine_internal::MemoTable<int, std::vector<std::vector<double>>> dists_;
+  // Keyed by k.
+  engine_internal::MemoTable<int, UTopKAnswer> utopk_;
 };
 
 // Shared state for a tuple-level relation. Owns a copy of the relation
@@ -319,9 +328,15 @@ class PreparedTupleRelation {
       const StatKey& key,
       const std::function<PrunedTopKResult()>& compute) const;
 
-  long long cache_hits() const { return stats_.hits() + pruned_.hits(); }
+  // Memoized U-Topk answer for `k` (see PreparedAttrRelation).
+  std::shared_ptr<const UTopKAnswer> CachedUTopK(
+      int k, const std::function<UTopKAnswer()>& compute) const;
+
+  long long cache_hits() const {
+    return stats_.hits() + pruned_.hits() + utopk_.hits();
+  }
   long long cache_misses() const {
-    return stats_.misses() + pruned_.misses();
+    return stats_.misses() + pruned_.misses() + utopk_.misses();
   }
 
  private:
@@ -333,6 +348,8 @@ class PreparedTupleRelation {
   std::unordered_map<int, int> position_of_id_;
   engine_internal::MemoTable<StatKey, std::vector<double>> stats_;
   engine_internal::MemoTable<StatKey, PrunedTopKResult> pruned_;
+  // Keyed by k.
+  engine_internal::MemoTable<int, UTopKAnswer> utopk_;
   // Keyed by the tie policy.
   engine_internal::MemoTable<int, TupleSweepEntryTable> sweep_entries_;
   // One entry, key 0: the pmf does not depend on the tie policy.

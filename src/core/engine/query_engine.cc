@@ -48,31 +48,17 @@ struct EngineMetrics {
   }
 };
 
-RankingAnswer FromRanked(const std::vector<RankedTuple>& ranked) {
+// `negated` marks the probability-carrying selections (PT-k, Global-Topk),
+// which rank by the negated probability: negating back restores it exactly.
+RankingAnswer FromRanked(const std::vector<RankedTuple>& ranked,
+                         bool negated = false) {
   RankingAnswer answer;
   answer.ids.reserve(ranked.size());
   answer.statistics.reserve(ranked.size());
   for (const RankedTuple& rt : ranked) {
     answer.ids.push_back(rt.id);
-    answer.statistics.push_back(rt.statistic);
+    answer.statistics.push_back(negated ? -rt.statistic : rt.statistic);
   }
-  return answer;
-}
-
-// Probability-carrying answers: ids in rank order plus the per-id
-// probability looked up through the prepared id index.
-template <typename Prepared>
-RankingAnswer WithProbabilities(std::vector<int> ids,
-                                const std::vector<double>& probs_by_position,
-                                const Prepared& prepared) {
-  RankingAnswer answer;
-  answer.statistics.reserve(ids.size());
-  for (int id : ids) {
-    const int pos = prepared.PositionOfId(id);
-    answer.statistics.push_back(
-        pos >= 0 ? probs_by_position[static_cast<size_t>(pos)] : 0.0);
-  }
-  answer.ids = std::move(ids);
   return answer;
 }
 
@@ -83,9 +69,24 @@ RankingAnswer FromUTopK(const UTopKAnswer& utopk) {
   return answer;
 }
 
-// The memo-table key a query's ranking statistic lives under, used to
-// report cache reuse. U-Topk and attribute-level expected scores have no
-// key (never memoized / eagerly built) — both are handled by the callers.
+// U-Topk answers are memoized per k on the prepared relation. A hit, or a
+// wait on a concurrent run of the same k, sets stats->reused_cache.
+template <typename Prepared, typename Compute>
+RankingAnswer CachedUTopK(const Prepared& p, int k, const Compute& compute,
+                          QueryStats* stats) {
+  bool ran = false;
+  const auto utopk = p.CachedUTopK(k, [&] {
+    ran = true;
+    return compute();
+  });
+  if (!ran) stats->reused_cache = true;
+  return FromUTopK(*utopk);
+}
+
+// The statistic-memo key a query's ranking statistic lives under, used to
+// report cache reuse. U-Topk answers live in their own per-k memo, and
+// attribute-level expected scores are built eagerly, so neither has a key
+// — both are handled by the callers.
 StatKey KeyFor(const RankingQuery& q) {
   switch (q.semantics) {
     case RankingSemantics::kExpectedRank:
@@ -160,7 +161,8 @@ long long TuplesPruned(long long n, bool prune, const QueryStats& stats) {
 // with QueryRequest::prune: the pruned top-k kernels return the identical
 // answer while scanning a prefix of the expected-score order, and record
 // how far they got into `stats`. Tuple-level pruned answers are memoized
-// per (k, phi, ties); a memo hit sets stats->reused_cache instead.
+// per (k, phi, ties) and U-Topk answers per k; a hit on either memo sets
+// stats->reused_cache instead. Selections read memoized vectors in place.
 RankingAnswer RunAttr(const PreparedAttrRelation& p, const RankingQuery& q,
                       const ParallelismOptions& par, KernelReport* report,
                       bool prune, QueryStats* stats) {
@@ -178,28 +180,29 @@ RankingAnswer RunAttr(const PreparedAttrRelation& p, const RankingQuery& q,
         stats->prune_stop_position = pruned.prune_stop_position;
         return FromRanked(std::move(pruned.topk));
       }
-      AttrQuantileRanks(p, phi, q.ties, par, report);
-      return FromRanked(AttrQuantileRankTopK(p, q.k, phi, q.ties));
+      return FromRanked(AttrQuantileRankTopK(p, q.k, phi, q.ties, par,
+                                             report));
     }
     case RankingSemantics::kUTopk:
-      return FromUTopK(AttrUTopK(p, q.k));
+      return CachedUTopK(
+          p, q.k, [&] { return AttrUTopK(p, q.k); }, stats);
     case RankingSemantics::kUKRanks: {
       RankingAnswer answer;
       answer.ids = AttrUKRanks(p, q.k, q.ties, par, report);
       return answer;
     }
-    case RankingSemantics::kPTk: {
-      // Computed first so the selection below hits the warmed cache.
-      const std::vector<double> probs =
-          AttrTopKProbabilities(p, q.k, q.ties, par, report);
-      return WithProbabilities(AttrPTk(p, q.k, q.threshold, q.ties), probs,
-                               p);
-    }
-    case RankingSemantics::kGlobalTopk: {
-      const std::vector<double> probs =
-          AttrTopKProbabilities(p, q.k, q.ties, par, report);
-      return WithProbabilities(AttrGlobalTopK(p, q.k, q.ties), probs, p);
-    }
+    case RankingSemantics::kPTk:
+      return FromRanked(
+          PTkSelection(p.ids(),
+                *SharedAttrTopKProbabilities(p, q.k, q.ties, par, report),
+                q.threshold),
+          /*negated=*/true);
+    case RankingSemantics::kGlobalTopk:
+      return FromRanked(
+          GlobalTopKSelection(p.ids(),
+                *SharedAttrTopKProbabilities(p, q.k, q.ties, par, report),
+                q.k),
+          /*negated=*/true);
     case RankingSemantics::kExpectedScore:
       return FromRanked(AttrExpectedScoreTopK(p, q.k));
   }
@@ -235,27 +238,29 @@ RankingAnswer RunTuple(const PreparedTupleRelation& p, const RankingQuery& q,
         }
         return FromRanked(pruned->topk);
       }
-      TupleQuantileRanks(p, phi, q.ties, par, report);
-      return FromRanked(TupleQuantileRankTopK(p, q.k, phi, q.ties));
+      return FromRanked(TupleQuantileRankTopK(p, q.k, phi, q.ties, par,
+                                              report));
     }
     case RankingSemantics::kUTopk:
-      return FromUTopK(TupleUTopK(p, q.k));
+      return CachedUTopK(
+          p, q.k, [&] { return TupleUTopK(p, q.k); }, stats);
     case RankingSemantics::kUKRanks: {
       RankingAnswer answer;
       answer.ids = TupleUKRanks(p, q.k, q.ties, par, report);
       return answer;
     }
-    case RankingSemantics::kPTk: {
-      const std::vector<double> probs =
-          TupleTopKProbabilities(p, q.k, q.ties, par, report);
-      return WithProbabilities(TuplePTk(p, q.k, q.threshold, q.ties), probs,
-                               p);
-    }
-    case RankingSemantics::kGlobalTopk: {
-      const std::vector<double> probs =
-          TupleTopKProbabilities(p, q.k, q.ties, par, report);
-      return WithProbabilities(TupleGlobalTopK(p, q.k, q.ties), probs, p);
-    }
+    case RankingSemantics::kPTk:
+      return FromRanked(
+          PTkSelection(p.ids(),
+                *SharedTupleTopKProbabilities(p, q.k, q.ties, par, report),
+                q.threshold),
+          /*negated=*/true);
+    case RankingSemantics::kGlobalTopk:
+      return FromRanked(
+          GlobalTopKSelection(p.ids(),
+                *SharedTupleTopKProbabilities(p, q.k, q.ties, par, report),
+                q.k),
+          /*negated=*/true);
     case RankingSemantics::kExpectedScore:
       return FromRanked(TupleExpectedScoreTopK(p, q.k));
   }
@@ -490,6 +495,7 @@ QueryResult QueryEngine::RunResolved(const QueryRequest& request,
           query.semantics == RankingSemantics::kExpectedScore ||
           (has_key && attr.HasCachedStat(KeyFor(query)));
       const bool prune = want_prune && !result.stats.reused_cache;
+      // RunAttr sets reused_cache itself on a U-Topk memo hit.
       result.answer =
           RunAttr(attr, query, par, &report, prune, &result.stats);
       // A pruned run touches one O(n) rank DP per scanned tuple instead of
@@ -508,7 +514,8 @@ QueryResult QueryEngine::RunResolved(const QueryRequest& request,
       const bool prune = want_prune && !result.stats.reused_cache;
       result.answer =
           RunTuple(tuple, query, par, &report, prune, &result.stats);
-      // RunTuple sets reused_cache itself on a pruned-answer memo hit.
+      // RunTuple sets reused_cache itself on a pruned-answer or U-Topk
+      // memo hit.
       const long long m = tuple.relation().num_rules();
       result.stats.dp_cells =
           result.stats.reused_cache

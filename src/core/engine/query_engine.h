@@ -128,10 +128,9 @@ struct QueryStats {
   double wall_ms = 0.0;
   // True when the statistic vector this query ranks by was already in the
   // prepared cache (or, for attribute-level expected scores, built eagerly
-  // at preparation), or when a tuple-level pruned request was served from
-  // the pruned-answer memo (including a wait on a concurrent run of the
-  // same key), so no per-tuple recomputation ran. U-Topk answers are
-  // k-specific DPs and are never memoized: always false there.
+  // at preparation), or when a tuple-level pruned request or a U-Topk
+  // request was served from its per-key answer memo (including a wait on
+  // a concurrent run of the same key), so no per-tuple recomputation ran.
   bool reused_cache = false;
   // Coarse count of dynamic-program cells (or equivalent inner-loop
   // updates) this query touched; 0 when served from cache. The per-

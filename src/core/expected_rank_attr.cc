@@ -151,13 +151,35 @@ std::vector<double> AttrExpectedRanks(const AttrRelation& rel,
                                    ties);
 }
 
-std::vector<double> AttrExpectedRanks(const PreparedAttrRelation& prepared,
-                                      TiePolicy ties) {
+namespace {
+
+// The memoized expected-rank vectors, shared rather than copied: the top-k
+// selections read them in place. Both compute lambdas fill the same key
+// with bit-identical values (the sharded sweep replays the serial one).
+std::shared_ptr<const std::vector<double>> SerialExpectedRanks(
+    const PreparedAttrRelation& prepared, TiePolicy ties) {
   const StatKey key{StatKey::Kind::kExpectedRank, 0, 0.0, ties};
-  return *prepared.CachedStat(key, [&] {
+  return prepared.CachedStat(key, [&] {
     return ExpectedRanksWithUniverse(prepared.relation(),
                                      prepared.universe(), ties);
   });
+}
+
+std::shared_ptr<const std::vector<double>> ShardedExpectedRanks(
+    const PreparedAttrRelation& prepared, TiePolicy ties,
+    const ParallelismOptions& par, KernelReport* report) {
+  const StatKey key{StatKey::Kind::kExpectedRank, 0, 0.0, ties};
+  return prepared.CachedStat(key, [&] {
+    return ExpectedRanksSharded(prepared.relation(), prepared.universe(),
+                                prepared.shard_plan(), ties, par, report);
+  });
+}
+
+}  // namespace
+
+std::vector<double> AttrExpectedRanks(const PreparedAttrRelation& prepared,
+                                      TiePolicy ties) {
+  return *SerialExpectedRanks(prepared, ties);
 }
 
 std::vector<RankedTuple> AttrExpectedRankTopK(const AttrRelation& rel, int k,
@@ -174,7 +196,7 @@ std::vector<RankedTuple> AttrExpectedRankTopK(const AttrRelation& rel, int k,
 std::vector<RankedTuple> AttrExpectedRankTopK(
     const PreparedAttrRelation& prepared, int k, TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return TopKByStatistic(prepared.ids(), AttrExpectedRanks(prepared, ties),
+  return TopKByStatistic(prepared.ids(), *SerialExpectedRanks(prepared, ties),
                          k);
 }
 
@@ -182,11 +204,7 @@ std::vector<double> AttrExpectedRanks(const PreparedAttrRelation& prepared,
                                       TiePolicy ties,
                                       const ParallelismOptions& par,
                                       KernelReport* report) {
-  const StatKey key{StatKey::Kind::kExpectedRank, 0, 0.0, ties};
-  return *prepared.CachedStat(key, [&] {
-    return ExpectedRanksSharded(prepared.relation(), prepared.universe(),
-                                prepared.shard_plan(), ties, par, report);
-  });
+  return *ShardedExpectedRanks(prepared, ties, par, report);
 }
 
 std::vector<RankedTuple> AttrExpectedRankTopK(
@@ -194,7 +212,8 @@ std::vector<RankedTuple> AttrExpectedRankTopK(
     const ParallelismOptions& par, KernelReport* report) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   return TopKByStatistic(prepared.ids(),
-                         AttrExpectedRanks(prepared, ties, par, report), k);
+                         *ShardedExpectedRanks(prepared, ties, par, report),
+                         k);
 }
 
 AttrPruneResult AttrExpectedRankTopKPrune(const AttrRelation& rel, int k,

@@ -219,13 +219,35 @@ std::vector<double> TupleExpectedRanks(const TupleRelation& rel,
   return ExpectedRanksInOrder(rel, order, ties);
 }
 
-std::vector<double> TupleExpectedRanks(const PreparedTupleRelation& prepared,
-                                       TiePolicy ties) {
+namespace {
+
+// The memoized expected-rank vectors, shared rather than copied: the top-k
+// selections read them in place. Both compute lambdas fill the same key
+// with bit-identical values (the sharded sweep replays the serial one).
+std::shared_ptr<const std::vector<double>> SerialExpectedRanks(
+    const PreparedTupleRelation& prepared, TiePolicy ties) {
   const StatKey key{StatKey::Kind::kExpectedRank, 0, 0.0, ties};
-  return *prepared.CachedStat(key, [&] {
+  return prepared.CachedStat(key, [&] {
     return ExpectedRanksInOrder(prepared.relation(), prepared.rank_order(),
                                 ties);
   });
+}
+
+std::shared_ptr<const std::vector<double>> ShardedExpectedRanks(
+    const PreparedTupleRelation& prepared, TiePolicy ties,
+    const ParallelismOptions& par, KernelReport* report) {
+  const StatKey key{StatKey::Kind::kExpectedRank, 0, 0.0, ties};
+  return prepared.CachedStat(key, [&] {
+    return TupleExpectedRanksSharded(prepared.relation(),
+                                     prepared.shard_plan(), ties, par, report);
+  });
+}
+
+}  // namespace
+
+std::vector<double> TupleExpectedRanks(const PreparedTupleRelation& prepared,
+                                       TiePolicy ties) {
+  return *SerialExpectedRanks(prepared, ties);
 }
 
 std::vector<RankedTuple> TupleExpectedRankTopK(const TupleRelation& rel,
@@ -242,7 +264,7 @@ std::vector<RankedTuple> TupleExpectedRankTopK(const TupleRelation& rel,
 std::vector<RankedTuple> TupleExpectedRankTopK(
     const PreparedTupleRelation& prepared, int k, TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return TopKByStatistic(prepared.ids(), TupleExpectedRanks(prepared, ties),
+  return TopKByStatistic(prepared.ids(), *SerialExpectedRanks(prepared, ties),
                          k);
 }
 
@@ -250,11 +272,7 @@ std::vector<double> TupleExpectedRanks(const PreparedTupleRelation& prepared,
                                        TiePolicy ties,
                                        const ParallelismOptions& par,
                                        KernelReport* report) {
-  const StatKey key{StatKey::Kind::kExpectedRank, 0, 0.0, ties};
-  return *prepared.CachedStat(key, [&] {
-    return TupleExpectedRanksSharded(prepared.relation(),
-                                     prepared.shard_plan(), ties, par, report);
-  });
+  return *ShardedExpectedRanks(prepared, ties, par, report);
 }
 
 std::vector<RankedTuple> TupleExpectedRankTopK(
@@ -262,7 +280,8 @@ std::vector<RankedTuple> TupleExpectedRankTopK(
     const ParallelismOptions& par, KernelReport* report) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   return TopKByStatistic(prepared.ids(),
-                         TupleExpectedRanks(prepared, ties, par, report), k);
+                         *ShardedExpectedRanks(prepared, ties, par, report),
+                         k);
 }
 
 TuplePruneResult TupleExpectedRankTopKPrune(const TupleRelation& rel, int k,

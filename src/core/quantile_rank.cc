@@ -113,20 +113,15 @@ std::vector<int> TupleQuantileRanks(const TupleRelation& rel, double phi,
   return ranks;
 }
 
-std::vector<int> AttrQuantileRanks(const PreparedAttrRelation& prepared,
-                                   double phi, TiePolicy ties) {
-  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
-  return AttrQuantileRanks(prepared, phi, ties, ParallelismOptions{},
-                           nullptr);
-}
+namespace {
 
-std::vector<int> AttrQuantileRanks(const PreparedAttrRelation& prepared,
-                                   double phi, TiePolicy ties,
-                                   const ParallelismOptions& par,
-                                   KernelReport* report) {
-  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
+// The memoized quantile-rank vectors (integral ranks stored as doubles),
+// shared rather than copied: the top-k selections read them in place.
+std::shared_ptr<const std::vector<double>> AttrQuantileStat(
+    const PreparedAttrRelation& prepared, double phi, TiePolicy ties,
+    const ParallelismOptions& par, KernelReport* report) {
   const StatKey key{StatKey::Kind::kQuantileRank, 0, phi, ties};
-  const auto stat = prepared.CachedStat(key, [&] {
+  return prepared.CachedStat(key, [&] {
     const auto dists = prepared.RankDistributions(ties, par, report);
     std::vector<double> ranks(static_cast<size_t>(prepared.size()), 0.0);
     for (int i = 0; i < prepared.size(); ++i) {
@@ -137,23 +132,13 @@ std::vector<int> AttrQuantileRanks(const PreparedAttrRelation& prepared,
     }
     return ranks;
   });
-  return std::vector<int>(stat->begin(), stat->end());
 }
 
-std::vector<int> TupleQuantileRanks(const PreparedTupleRelation& prepared,
-                                    double phi, TiePolicy ties) {
-  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
-  return TupleQuantileRanks(prepared, phi, ties, ParallelismOptions{},
-                            nullptr);
-}
-
-std::vector<int> TupleQuantileRanks(const PreparedTupleRelation& prepared,
-                                    double phi, TiePolicy ties,
-                                    const ParallelismOptions& par,
-                                    KernelReport* report) {
-  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
+std::shared_ptr<const std::vector<double>> TupleQuantileStat(
+    const PreparedTupleRelation& prepared, double phi, TiePolicy ties,
+    const ParallelismOptions& par, KernelReport* report) {
   const StatKey key{StatKey::Kind::kQuantileRank, 0, phi, ties};
-  const auto stat = prepared.CachedStat(key, [&] {
+  return prepared.CachedStat(key, [&] {
     std::vector<double> ranks(static_cast<size_t>(prepared.size()), 0.0);
     // Chunk callbacks write disjoint positions, so concurrent chunks need
     // no further coordination. The memoized entry table lets each chunk
@@ -170,7 +155,42 @@ std::vector<int> TupleQuantileRanks(const PreparedTupleRelation& prepared,
         entries.get(), world.get());
     return ranks;
   });
-  return std::vector<int>(stat->begin(), stat->end());
+}
+
+std::vector<int> ToInt(const std::vector<double>& ranks) {
+  return std::vector<int>(ranks.begin(), ranks.end());
+}
+
+}  // namespace
+
+std::vector<int> AttrQuantileRanks(const PreparedAttrRelation& prepared,
+                                   double phi, TiePolicy ties) {
+  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
+  return ToInt(*AttrQuantileStat(prepared, phi, ties, ParallelismOptions{},
+                                 nullptr));
+}
+
+std::vector<int> AttrQuantileRanks(const PreparedAttrRelation& prepared,
+                                   double phi, TiePolicy ties,
+                                   const ParallelismOptions& par,
+                                   KernelReport* report) {
+  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
+  return ToInt(*AttrQuantileStat(prepared, phi, ties, par, report));
+}
+
+std::vector<int> TupleQuantileRanks(const PreparedTupleRelation& prepared,
+                                    double phi, TiePolicy ties) {
+  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
+  return ToInt(*TupleQuantileStat(prepared, phi, ties, ParallelismOptions{},
+                                  nullptr));
+}
+
+std::vector<int> TupleQuantileRanks(const PreparedTupleRelation& prepared,
+                                    double phi, TiePolicy ties,
+                                    const ParallelismOptions& par,
+                                    KernelReport* report) {
+  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
+  return ToInt(*TupleQuantileStat(prepared, phi, ties, par, report));
 }
 
 std::vector<int> AttrMedianRanks(const AttrRelation& rel, TiePolicy ties) {
@@ -206,9 +226,8 @@ std::vector<RankedTuple> AttrQuantileRankTopK(
     TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
-  return TopKByStatistic(prepared.ids(),
-                         ToDouble(AttrQuantileRanks(prepared, phi, ties)),
-                         k);
+  return AttrQuantileRankTopK(prepared, k, phi, ties, ParallelismOptions{},
+                              nullptr);
 }
 
 std::vector<RankedTuple> TupleQuantileRankTopK(
@@ -216,8 +235,27 @@ std::vector<RankedTuple> TupleQuantileRankTopK(
     TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
+  return TupleQuantileRankTopK(prepared, k, phi, ties, ParallelismOptions{},
+                               nullptr);
+}
+
+std::vector<RankedTuple> AttrQuantileRankTopK(
+    const PreparedAttrRelation& prepared, int k, double phi, TiePolicy ties,
+    const ParallelismOptions& par, KernelReport* report) {
+  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
+  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
   return TopKByStatistic(prepared.ids(),
-                         ToDouble(TupleQuantileRanks(prepared, phi, ties)),
+                         *AttrQuantileStat(prepared, phi, ties, par, report),
+                         k);
+}
+
+std::vector<RankedTuple> TupleQuantileRankTopK(
+    const PreparedTupleRelation& prepared, int k, double phi, TiePolicy ties,
+    const ParallelismOptions& par, KernelReport* report) {
+  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
+  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
+  return TopKByStatistic(prepared.ids(),
+                         *TupleQuantileStat(prepared, phi, ties, par, report),
                          k);
 }
 

@@ -107,6 +107,16 @@ std::vector<RankedTuple> TupleQuantileRankTopK(
     const PreparedTupleRelation& prepared, int k, double phi,
     TiePolicy ties = TiePolicy::kBreakByIndex);
 
+// Parallel-aware prepared top-k forms: a cache miss computes the memoized
+// quantile-rank vector as the forms above do; the selection then reads it
+// in place. Requires k >= 1 and phi in (0, 1].
+std::vector<RankedTuple> AttrQuantileRankTopK(
+    const PreparedAttrRelation& prepared, int k, double phi, TiePolicy ties,
+    const ParallelismOptions& par, KernelReport* report);
+std::vector<RankedTuple> TupleQuantileRankTopK(
+    const PreparedTupleRelation& prepared, int k, double phi, TiePolicy ties,
+    const ParallelismOptions& par, KernelReport* report);
+
 // ---------------------------------------------------------------------------
 // Pruned top-k by φ-quantile rank — the paper's A-ERank-Prune bounding
 // discipline (Section 6) applied to the quantile DPs. Both kernels scan

@@ -24,6 +24,10 @@ struct RankedTuple {
 // deterministic tie-break — and returns the first min(k, n) entries.
 // `ids[i]` and `statistics[i]` describe one tuple; the two vectors must have
 // equal length. Pass k < 0 for the full ranking.
+//
+// Ids are distinct, so the comparator is a strict total order and its
+// first k entries are unique: a partial sort (O(n log k)) returns exactly
+// the prefix a full sort would. Only k < 0 or k >= n pays the full sort.
 inline std::vector<RankedTuple> TopKByStatistic(
     const std::vector<int>& ids, const std::vector<double>& statistics,
     int k) {
@@ -32,13 +36,16 @@ inline std::vector<RankedTuple> TopKByStatistic(
   for (size_t i = 0; i < ids.size(); ++i) {
     all.push_back({ids[i], statistics[i]});
   }
-  std::sort(all.begin(), all.end(),
-            [](const RankedTuple& a, const RankedTuple& b) {
-              if (a.statistic != b.statistic) return a.statistic < b.statistic;
-              return a.id < b.id;
-            });
+  const auto before = [](const RankedTuple& a, const RankedTuple& b) {
+    if (a.statistic != b.statistic) return a.statistic < b.statistic;
+    return a.id < b.id;
+  };
   if (k >= 0 && static_cast<size_t>(k) < all.size()) {
-    all.resize(static_cast<size_t>(k));
+    const auto middle = all.begin() + k;
+    std::partial_sort(all.begin(), middle, all.end(), before);
+    all.erase(middle, all.end());
+  } else {
+    std::sort(all.begin(), all.end(), before);
   }
   return all;
 }

@@ -60,12 +60,22 @@ std::vector<double> AttrExpectedScores(const PreparedAttrRelation& prepared) {
   return prepared.expected_scores();
 }
 
-std::vector<double> TupleExpectedScores(
+namespace {
+
+// The memoized expected-score vector, shared rather than copied.
+std::shared_ptr<const std::vector<double>> CachedExpectedScores(
     const PreparedTupleRelation& prepared) {
   const StatKey key{StatKey::Kind::kExpectedScore, 0, 0.0,
                     TiePolicy::kBreakByIndex};
-  return *prepared.CachedStat(
+  return prepared.CachedStat(
       key, [&] { return TupleExpectedScores(prepared.relation()); });
+}
+
+}  // namespace
+
+std::vector<double> TupleExpectedScores(
+    const PreparedTupleRelation& prepared) {
+  return *CachedExpectedScores(prepared);
 }
 
 std::vector<RankedTuple> AttrExpectedScoreTopK(
@@ -77,7 +87,7 @@ std::vector<RankedTuple> AttrExpectedScoreTopK(
 std::vector<RankedTuple> TupleExpectedScoreTopK(
     const PreparedTupleRelation& prepared, int k) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return NegatedTopK(TupleExpectedScores(prepared), prepared.ids(), k);
+  return NegatedTopK(*CachedExpectedScores(prepared), prepared.ids(), k);
 }
 
 }  // namespace urank

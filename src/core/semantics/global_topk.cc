@@ -9,25 +9,24 @@
 #include "util/check.h"
 
 namespace urank {
-namespace {
 
-std::vector<int> BestK(const std::vector<double>& probs,
-                       const std::vector<int>& ids, int k) {
+std::vector<RankedTuple> GlobalTopKSelection(const std::vector<int>& ids,
+                                             const std::vector<double>& probs,
+                                             int k) {
   URANK_DCHECK_MSG(internal::AllFiniteInRange(probs, 0.0, 1.0),
                    "top-k membership probability outside [0,1]");
   std::vector<double> neg(probs.size());
   for (size_t i = 0; i < probs.size(); ++i) neg[i] = -probs[i];
-  return IdsOf(TopKByStatistic(ids, neg, k));
+  return TopKByStatistic(ids, neg, k);
 }
-
-}  // namespace
 
 std::vector<int> AttrGlobalTopK(const AttrRelation& rel, int k,
                                 TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   std::vector<int> ids(static_cast<size_t>(rel.size()));
   for (int i = 0; i < rel.size(); ++i) ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  return BestK(AttrTopKProbabilities(rel, k, ties), ids, k);
+  return IdsOf(
+      GlobalTopKSelection(ids, AttrTopKProbabilities(rel, k, ties), k));
 }
 
 std::vector<int> TupleGlobalTopK(const TupleRelation& rel, int k,
@@ -35,20 +34,28 @@ std::vector<int> TupleGlobalTopK(const TupleRelation& rel, int k,
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   std::vector<int> ids(static_cast<size_t>(rel.size()));
   for (int i = 0; i < rel.size(); ++i) ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  return BestK(TupleTopKProbabilities(rel, k, ties), ids, k);
+  return IdsOf(
+      GlobalTopKSelection(ids, TupleTopKProbabilities(rel, k, ties), k));
 }
 
 std::vector<int> AttrGlobalTopK(const PreparedAttrRelation& prepared, int k,
                                 TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return BestK(AttrTopKProbabilities(prepared, k, ties), prepared.ids(), k);
+  return IdsOf(GlobalTopKSelection(
+      prepared.ids(),
+      *SharedAttrTopKProbabilities(prepared, k, ties, ParallelismOptions{},
+                                   nullptr),
+      k));
 }
 
 std::vector<int> TupleGlobalTopK(const PreparedTupleRelation& prepared,
                                  int k, TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return BestK(TupleTopKProbabilities(prepared, k, ties), prepared.ids(),
-               k);
+  return IdsOf(GlobalTopKSelection(
+      prepared.ids(),
+      *SharedTupleTopKProbabilities(prepared, k, ties, ParallelismOptions{},
+                                    nullptr),
+      k));
 }
 
 GlobalTopKPruneResult TupleGlobalTopKPruned(const TupleRelation& rel, int k,
@@ -73,14 +80,15 @@ GlobalTopKPruneResult TupleGlobalTopKPruned(const TupleRelation& rel, int k,
     }
     // No unseen tuple can displace the k-th best seen probability (strict
     // comparison: equal-probability unseen tuples cannot enter either,
-    // because BestK breaks ties towards smaller ids and the comparison is
-    // on the probability value the bound dominates).
+    // because the selection breaks ties towards smaller ids and the
+    // comparison is on the probability value the bound dominates).
     if (static_cast<int>(best_k.size()) == k &&
         sweep.UnseenTopKBound(k) < best_k.top()) {
       break;
     }
   }
-  return {BestK(seen_probs, seen_ids, k), sweep.accessed()};
+  return {IdsOf(GlobalTopKSelection(seen_ids, seen_probs, k)),
+          sweep.accessed()};
 }
 
 }  // namespace urank

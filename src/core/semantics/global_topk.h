@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "core/ranking.h"
 #include "model/attr_model.h"
 #include "model/tuple_model.h"
 #include "model/types.h"
@@ -38,6 +39,14 @@ std::vector<int> TupleGlobalTopK(const PreparedTupleRelation& prepared,
 // Result of the early-terminating evaluation: the same answer as
 // TupleGlobalTopK plus the number of tuples the score-ordered scan
 // retrieved.
+// The Global-Topk selection every entry point above ends in, over a top-k
+// probability vector indexed like `ids`: the min(k, N) tuples of highest
+// probability, ordered by (probability desc, id asc), each carrying
+// -probs[i] as its statistic (lower is better). O(N log k).
+std::vector<RankedTuple> GlobalTopKSelection(const std::vector<int>& ids,
+                                             const std::vector<double>& probs,
+                                             int k);
+
 struct GlobalTopKPruneResult {
   std::vector<int> ids;
   int accessed = 0;

@@ -7,23 +7,22 @@
 #include "util/check.h"
 
 namespace urank {
-namespace {
 
-std::vector<int> Threshold(const std::vector<double>& probs,
-                           const std::vector<int>& ids, double threshold) {
+std::vector<RankedTuple> PTkSelection(const std::vector<int>& ids,
+                                      const std::vector<double>& probs,
+                                      double threshold) {
   URANK_DCHECK_MSG(internal::AllFiniteInRange(probs, 0.0, 1.0),
                    "top-k membership probability outside [0,1]");
-  // Order by descending probability via the ascending-statistic helper.
+  // The qualifying tuples are exactly the first `count` entries of the
+  // descending-probability order, so a k-bounded selection suffices.
+  int count = 0;
   std::vector<double> neg(probs.size());
-  for (size_t i = 0; i < probs.size(); ++i) neg[i] = -probs[i];
-  std::vector<int> out;
-  for (const RankedTuple& rt : TopKByStatistic(ids, neg, -1)) {
-    if (-rt.statistic >= threshold) out.push_back(rt.id);
+  for (size_t i = 0; i < probs.size(); ++i) {
+    neg[i] = -probs[i];
+    count += probs[i] >= threshold ? 1 : 0;
   }
-  return out;
+  return TopKByStatistic(ids, neg, count);
 }
-
-}  // namespace
 
 std::vector<int> AttrPTk(const AttrRelation& rel, int k, double threshold,
                          TiePolicy ties) {
@@ -31,7 +30,8 @@ std::vector<int> AttrPTk(const AttrRelation& rel, int k, double threshold,
                   "threshold must be in (0,1]");
   std::vector<int> ids(static_cast<size_t>(rel.size()));
   for (int i = 0; i < rel.size(); ++i) ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  return Threshold(AttrTopKProbabilities(rel, k, ties), ids, threshold);
+  return IdsOf(
+      PTkSelection(ids, AttrTopKProbabilities(rel, k, ties), threshold));
 }
 
 std::vector<int> TuplePTk(const TupleRelation& rel, int k, double threshold,
@@ -40,7 +40,8 @@ std::vector<int> TuplePTk(const TupleRelation& rel, int k, double threshold,
                   "threshold must be in (0,1]");
   std::vector<int> ids(static_cast<size_t>(rel.size()));
   for (int i = 0; i < rel.size(); ++i) ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  return Threshold(TupleTopKProbabilities(rel, k, ties), ids, threshold);
+  return IdsOf(
+      PTkSelection(ids, TupleTopKProbabilities(rel, k, ties), threshold));
 }
 
 std::vector<int> AttrPTk(const PreparedAttrRelation& prepared, int k,
@@ -48,8 +49,11 @@ std::vector<int> AttrPTk(const PreparedAttrRelation& prepared, int k,
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   URANK_CHECK_MSG(threshold > 0.0 && threshold <= 1.0,
                   "threshold must be in (0,1]");
-  return Threshold(AttrTopKProbabilities(prepared, k, ties), prepared.ids(),
-                   threshold);
+  return IdsOf(PTkSelection(
+      prepared.ids(),
+      *SharedAttrTopKProbabilities(prepared, k, ties, ParallelismOptions{},
+                                   nullptr),
+      threshold));
 }
 
 std::vector<int> TuplePTk(const PreparedTupleRelation& prepared, int k,
@@ -57,8 +61,11 @@ std::vector<int> TuplePTk(const PreparedTupleRelation& prepared, int k,
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   URANK_CHECK_MSG(threshold > 0.0 && threshold <= 1.0,
                   "threshold must be in (0,1]");
-  return Threshold(TupleTopKProbabilities(prepared, k, ties),
-                   prepared.ids(), threshold);
+  return IdsOf(PTkSelection(
+      prepared.ids(),
+      *SharedTupleTopKProbabilities(prepared, k, ties, ParallelismOptions{},
+                                    nullptr),
+      threshold));
 }
 
 PTkPruneResult TuplePTkPruned(const TupleRelation& rel, int k,
@@ -76,7 +83,8 @@ PTkPruneResult TuplePTkPruned(const TupleRelation& rel, int k,
     // No unseen tuple can reach the threshold once the bound drops below.
     if (sweep.UnseenTopKBound(k) < threshold) break;
   }
-  return {Threshold(seen_probs, seen_ids, threshold), sweep.accessed()};
+  return {IdsOf(PTkSelection(seen_ids, seen_probs, threshold)),
+          sweep.accessed()};
 }
 
 }  // namespace urank

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "core/ranking.h"
 #include "model/attr_model.h"
 #include "model/tuple_model.h"
 #include "model/types.h"
@@ -39,6 +40,15 @@ std::vector<int> TuplePTk(const PreparedTupleRelation& prepared, int k,
 
 // Result of the early-terminating evaluation: the same answer as
 // TuplePTk, plus how many tuples the score-ordered scan retrieved.
+// The PT-k selection every entry point above ends in, over a top-k
+// probability vector indexed like `ids`: the tuples with
+// probs[i] >= threshold, ordered by (probability desc, id asc), each
+// carrying -probs[i] as its statistic (lower is better). Costs
+// O(N log c) for c qualifying tuples, not a full sort.
+std::vector<RankedTuple> PTkSelection(const std::vector<int>& ids,
+                                      const std::vector<double>& probs,
+                                      double threshold);
+
 struct PTkPruneResult {
   std::vector<int> ids;
   int accessed = 0;

@@ -52,16 +52,23 @@ std::vector<double> TupleTopKProbabilities(const TupleRelation& rel, int k,
 std::vector<double> AttrTopKProbabilities(
     const PreparedAttrRelation& prepared, int k, TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return AttrTopKProbabilities(prepared, k, ties, ParallelismOptions{},
-                               nullptr);
+  return *SharedAttrTopKProbabilities(prepared, k, ties, ParallelismOptions{},
+                                      nullptr);
 }
 
 std::vector<double> AttrTopKProbabilities(
     const PreparedAttrRelation& prepared, int k, TiePolicy ties,
     const ParallelismOptions& par, KernelReport* report) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
+  return *SharedAttrTopKProbabilities(prepared, k, ties, par, report);
+}
+
+std::shared_ptr<const std::vector<double>> SharedAttrTopKProbabilities(
+    const PreparedAttrRelation& prepared, int k, TiePolicy ties,
+    const ParallelismOptions& par, KernelReport* report) {
+  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   const StatKey key{StatKey::Kind::kTopKProbability, k, 0.0, ties};
-  return *prepared.CachedStat(key, [&] {
+  return prepared.CachedStat(key, [&] {
     const auto dists = prepared.RankDistributions(ties, par, report);
     const vk::KernelOps& ops = vk::Active();
     std::vector<double> probs(static_cast<size_t>(prepared.size()), 0.0);
@@ -79,16 +86,23 @@ std::vector<double> AttrTopKProbabilities(
 std::vector<double> TupleTopKProbabilities(
     const PreparedTupleRelation& prepared, int k, TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return TupleTopKProbabilities(prepared, k, ties, ParallelismOptions{},
-                                nullptr);
+  return *SharedTupleTopKProbabilities(prepared, k, ties,
+                                       ParallelismOptions{}, nullptr);
 }
 
 std::vector<double> TupleTopKProbabilities(
     const PreparedTupleRelation& prepared, int k, TiePolicy ties,
     const ParallelismOptions& par, KernelReport* report) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
+  return *SharedTupleTopKProbabilities(prepared, k, ties, par, report);
+}
+
+std::shared_ptr<const std::vector<double>> SharedTupleTopKProbabilities(
+    const PreparedTupleRelation& prepared, int k, TiePolicy ties,
+    const ParallelismOptions& par, KernelReport* report) {
+  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   const StatKey key{StatKey::Kind::kTopKProbability, k, 0.0, ties};
-  return *prepared.CachedStat(key, [&] {
+  return prepared.CachedStat(key, [&] {
     // Positional entries at ranks above M are zero, so summing the first
     // min(k, M+1) streamed entries equals the matrix form's first-k sum.
     // Chunk callbacks write disjoint positions, so concurrent chunks need

@@ -11,6 +11,7 @@
 #ifndef URANK_CORE_SEMANTICS_SEMANTICS_H_
 #define URANK_CORE_SEMANTICS_SEMANTICS_H_
 
+#include <memory>
 #include <vector>
 
 #include "model/attr_model.h"
@@ -53,6 +54,16 @@ std::vector<double> AttrTopKProbabilities(
     const PreparedAttrRelation& prepared, int k, TiePolicy ties,
     const ParallelismOptions& par, KernelReport* report);
 std::vector<double> TupleTopKProbabilities(
+    const PreparedTupleRelation& prepared, int k, TiePolicy ties,
+    const ParallelismOptions& par, KernelReport* report);
+
+// The memoized vector behind the parallel-aware forms, shared instead of
+// copied: the prepared PT-k and Global-Topk selections and QueryEngine
+// read it in place. Requires k >= 1.
+std::shared_ptr<const std::vector<double>> SharedAttrTopKProbabilities(
+    const PreparedAttrRelation& prepared, int k, TiePolicy ties,
+    const ParallelismOptions& par, KernelReport* report);
+std::shared_ptr<const std::vector<double>> SharedTupleTopKProbabilities(
     const PreparedTupleRelation& prepared, int k, TiePolicy ties,
     const ParallelismOptions& par, KernelReport* report);
 

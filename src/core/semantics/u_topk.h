@@ -66,11 +66,12 @@ UTopKAnswer TupleUTopKWithRules(const TupleRelation& rel, int k);
 UTopKAnswer AttrUTopK(const AttrRelation& rel, int k);
 
 // Prepared-state overloads. The tuple-level form reuses the prepared rank
-// order, skipping the per-call sort (the DP itself is k-specific, so no
-// statistic is memoized); the attribute-level form forwards to the
-// enumeration (QueryEngine::Validate rejects non-enumerable world counts
-// before dispatching here). Identical answers to the one-shot forms.
-// Requires k >= 1.
+// order, skipping the per-call sort; the attribute-level form forwards to
+// the enumeration (QueryEngine::Validate rejects non-enumerable world
+// counts before dispatching here). Both compute afresh on every call: the
+// answer is k-specific, so QueryEngine memoizes it per k through the
+// prepared relation's CachedUTopK. Identical answers to the one-shot
+// forms. Requires k >= 1.
 UTopKAnswer TupleUTopK(const PreparedTupleRelation& prepared, int k);
 UTopKAnswer AttrUTopK(const PreparedAttrRelation& prepared, int k);
 

@@ -112,9 +112,7 @@ void ResultCache::Put(const ResultCacheKey& key,
     ++stats_.insertions;
   }
   EvictToBudgetLocked();
-  stats_.entries = lru_.size();
-  Metrics().bytes.Set(static_cast<double>(stats_.bytes));
-  Metrics().entries.Set(static_cast<double>(stats_.entries));
+  PublishGaugesLocked();
 }
 
 void ResultCache::Clear() {
@@ -122,9 +120,22 @@ void ResultCache::Clear() {
   lru_.clear();
   index_.clear();
   stats_.bytes = 0;
-  stats_.entries = 0;
-  Metrics().bytes.Set(0.0);
-  Metrics().entries.Set(0.0);
+  PublishGaugesLocked();
+}
+
+void ResultCache::EraseOlderEpochs(const std::string& relation,
+                                   std::uint64_t epoch) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->key.epoch < epoch && it->key.relation == relation) {
+      stats_.bytes -= it->bytes;
+      index_.erase(it->key);
+      it = lru_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  PublishGaugesLocked();
 }
 
 ResultCacheStats ResultCache::stats() const {
@@ -143,6 +154,12 @@ std::uint64_t ResultCache::ApproximateBytes(const ResultCacheKey& key,
   return kEntryOverhead + key.relation.size() +
          answer.ids.size() * sizeof(int) +
          answer.statistics.size() * sizeof(double);
+}
+
+void ResultCache::PublishGaugesLocked() {
+  stats_.entries = lru_.size();
+  Metrics().bytes.Set(static_cast<double>(stats_.bytes));
+  Metrics().entries.Set(static_cast<double>(stats_.entries));
 }
 
 void ResultCache::EvictToBudgetLocked() {

@@ -12,8 +12,12 @@
 //
 // Epoch keying is what makes reloads safe: every admin/load of a relation
 // name bumps its epoch, so entries for the previous snapshot can never be
-// returned for the new one. Stale-epoch entries are not eagerly purged —
-// they age out through LRU eviction like everything else.
+// returned for the new one. Lookups key on the current epoch, so the
+// server purges a relation's older-epoch entries (EraseOlderEpochs) as soon
+// as its epoch advances, by a mutate's publish or a reload; left in place
+// they could never hit again and would only pin heap. A Put racing a
+// publish may still insert one older-epoch entry after the purge; LRU
+// eviction ages it out like everything else.
 //
 // Eviction is least-recently-used under a byte budget: every entry is
 // charged its key + answer footprint (ApproximateBytes), and inserts
@@ -96,6 +100,10 @@ class ResultCache {
   // Drops every entry (stats counters keep accumulating).
   void Clear();
 
+  // Drops the entries of `relation` keyed under an epoch older than
+  // `epoch`; other relations' entries and newer epochs stay.
+  void EraseOlderEpochs(const std::string& relation, std::uint64_t epoch);
+
   ResultCacheStats stats() const;
   std::uint64_t byte_budget() const { return byte_budget_; }
 
@@ -111,6 +119,7 @@ class ResultCache {
   };
 
   void EvictToBudgetLocked();
+  void PublishGaugesLocked();
 
   const std::uint64_t byte_budget_;
   mutable std::mutex mu_;

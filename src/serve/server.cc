@@ -5,6 +5,8 @@
 #include <sstream>
 #include <utility>
 
+#include <unistd.h>
+
 #include "core/engine/trace.h"
 #include "io/csv.h"
 #include "util/metrics.h"
@@ -50,11 +52,24 @@ struct ServeMetrics {
       metrics::Registry::Global().counter("urank_serve_mutate_ops_total");
   metrics::Histogram& metrics_us =
       metrics::Registry::Global().histogram("urank_serve_metrics_us");
+  metrics::Gauge& resident_bytes = metrics::Registry::Global().gauge(
+      "urank_serve_process_resident_bytes");
 };
 
 ServeMetrics& Metrics() {
   static ServeMetrics m;
   return m;
+}
+
+// Resident set size of this process: the second field of /proc/self/statm
+// (resident pages) times the page size; 0 where that file is unavailable.
+double ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  long long size_pages = 0;
+  long long resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) return 0.0;
+  return static_cast<double>(resident_pages) *
+         static_cast<double>(sysconf(_SC_PAGESIZE));
 }
 
 }  // namespace
@@ -127,20 +142,26 @@ std::shared_ptr<MutableAttrRelation> Server::MutableAttrStore(
 }
 
 void Server::RegisterEntry(const std::string& name, RelationEntry entry) {
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  const auto it = registry_.find(name);
-  if (it != registry_.end()) {
-    // Continue the epoch sequence past the replaced store's, so cached
-    // results keyed under the old store's epochs can never alias answers
-    // from the new contents.
-    const std::uint64_t floor = it->second.epoch() + 1;
-    if (entry.tuple_store != nullptr) {
-      entry.tuple_store->EnsureEpochAtLeast(floor);
-    } else {
-      entry.attr_store->EnsureEpochAtLeast(floor);
+  std::uint64_t epoch = 0;
+  {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    const auto it = registry_.find(name);
+    if (it != registry_.end()) {
+      // Continue the epoch sequence past the replaced store's, so cached
+      // results keyed under the old store's epochs can never alias answers
+      // from the new contents.
+      const std::uint64_t floor = it->second.epoch() + 1;
+      if (entry.tuple_store != nullptr) {
+        entry.tuple_store->EnsureEpochAtLeast(floor);
+      } else {
+        entry.attr_store->EnsureEpochAtLeast(floor);
+      }
     }
+    epoch = entry.epoch();
+    registry_[name] = std::move(entry);
   }
-  registry_[name] = std::move(entry);
+  // The replaced store's cached answers can never hit again.
+  cache_.EraseOlderEpochs(name, epoch);
 }
 
 std::vector<RelationInfo> Server::Relations() const {
@@ -504,6 +525,8 @@ std::string Server::ExecuteMutate(const WireRequest& request) {
     return RenderErrorResponse(request.id, QueryStatusCode::kInvalidRequest,
                                "mutate failed: " + error);
   }
+  // Lookups key on the current epoch: older entries can never hit again.
+  cache_.EraseOlderEpochs(request.relation, epoch);
   Metrics().mutate_ops.Increment(
       static_cast<long long>(request.mutations.size()));
   return RenderMutateResponse(request.id, request.relation, epoch,
@@ -529,6 +552,7 @@ std::string Server::HandleAdminRelations(const WireRequest& request) {
 
 std::string Server::HandleMetrics(const WireRequest& request) {
   metrics::ScopedHistogramTimer timer(Metrics().metrics_us);
+  Metrics().resident_bytes.Set(ResidentBytes());
   return RenderMetricsResponse(request.id,
                                metrics::Registry::Global().RenderPrometheus());
 }

@@ -352,6 +352,45 @@ TEST_P(TupleEpochIdentityTest, PrunedMedianMatchesFromScratchUnpruned) {
   }
 }
 
+// U-Topk answers are memoized per k on each epoch's prepared relation:
+// every publish starts a fresh memo, so each epoch recomputes once and
+// then serves hits, and both must equal a from-scratch prepare.
+TEST_P(TupleEpochIdentityTest, UTopKRecomputesPerEpochAndMatchesScratch) {
+  MutableRelationOptions options;
+  options.delta_merge_threshold = GetParam();
+  options.compact_min_dead = 8;
+  const TupleRelation rel = testgen::AdversarialRuleTupleRelation(60, 5, 37);
+  MutableTupleRelation store(rel, options);
+  TupleShadow shadow;
+  shadow.Seed(rel);
+  Rng rng(307);
+  int next_id = 100000;
+  for (int round = 0; round < 6; ++round) {
+    const auto snap = store.Snapshot();
+    EXPECT_EQ(snap.prepared->cache_misses(), 0) << "epoch " << snap.epoch;
+    QueryEngine incremental(snap.prepared);
+    QueryEngine eager{shadow.EagerRelation()};
+    bool first = true;
+    for (int threads : {1, 2, 8}) {
+      const QueryRequest request = Req(RankingSemantics::kUTopk, 10, threads);
+      const QueryResult want = eager.Run(request);
+      const QueryResult got = incremental.Run(request);
+      ASSERT_TRUE(got.status.ok()) << got.status.message;
+      EXPECT_EQ(got.stats.reused_cache, !first) << "epoch " << snap.epoch;
+      EXPECT_EQ(got.answer.ids, want.answer.ids) << "epoch " << snap.epoch;
+      EXPECT_EQ(got.answer.statistics, want.answer.statistics)
+          << "epoch " << snap.epoch;
+      first = false;
+    }
+    EXPECT_EQ(snap.prepared->cache_misses(), 1) << "epoch " << snap.epoch;
+    const int ops = static_cast<int>(rng.UniformInt(1, 12));
+    for (int i = 0; i < ops; ++i) {
+      RandomTupleMutation(rng, &next_id, &store, &shadow);
+    }
+    store.Publish();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(DeltaMergeThresholds, TupleEpochIdentityTest,
                          ::testing::Values(std::size_t{1}, std::size_t{8},
                                            std::size_t{1} << 20));

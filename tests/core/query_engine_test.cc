@@ -349,6 +349,67 @@ TEST(QueryEngineStats, PrunedRunReportsUnscannedTuplesAsPruned) {
             0);
 }
 
+QueryRequest UTopK(int k) {
+  QueryRequest request;
+  request.options.semantics = RankingSemantics::kUTopk;
+  request.options.k = k;
+  return request;
+}
+
+TEST(QueryEngineStats, ConcurrentUTopKRunsEachKernelOncePerK) {
+  const auto prepared = QueryEngine::Prepare(MakeTuple(300, 53));
+  const QueryEngine engine(prepared);
+  const std::vector<QueryRequest> batch = {UTopK(10),  UTopK(100),
+                                           UTopK(10),  UTopK(100),
+                                           UTopK(10),  UTopK(100)};
+  const std::vector<QueryResult> results = engine.RunBatch(batch, 8);
+  for (const QueryResult& r : results) ASSERT_TRUE(r.status.ok());
+
+  // Two distinct k: two kernel runs; the repeats wait on (or hit) them.
+  EXPECT_EQ(prepared->cache_misses(), 2);
+  EXPECT_EQ(prepared->cache_hits(), 4);
+  int reused_k10 = 0;
+  int reused_k100 = 0;
+  for (size_t i : {0u, 2u, 4u}) reused_k10 += results[i].stats.reused_cache;
+  for (size_t i : {1u, 3u, 5u}) reused_k100 += results[i].stats.reused_cache;
+  EXPECT_EQ(reused_k10, 2);
+  EXPECT_EQ(reused_k100, 2);
+
+  // Every answer equals a cold run on a fresh prepare.
+  const QueryEngine fresh(MakeTuple(300, 53));
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const QueryResult want = fresh.Run(batch[i]);
+    EXPECT_EQ(results[i].answer.ids, want.answer.ids) << i;
+    EXPECT_EQ(results[i].answer.statistics, want.answer.statistics) << i;
+  }
+}
+
+TEST(QueryEngineStats, UTopKHitReusesTheFirstRun) {
+  for (const bool tuple_level : {true, false}) {
+    SCOPED_TRACE(tuple_level ? "tuple" : "attr");
+    const int n = tuple_level ? 300 : 6;
+    const QueryEngine engine = tuple_level ? QueryEngine(MakeTuple(n, 59))
+                                           : QueryEngine(MakeAttr(n, 59));
+    const int k = tuple_level ? 10 : 3;
+    const QueryResult cold = engine.Run(UTopK(k));
+    ASSERT_TRUE(cold.status.ok());
+    EXPECT_FALSE(cold.stats.reused_cache);
+    EXPECT_GT(cold.stats.dp_cells, 0);
+    EXPECT_EQ(cold.stats.tuples_pruned, 0);
+
+    const QueryResult hit = engine.Run(UTopK(k));
+    ASSERT_TRUE(hit.status.ok());
+    EXPECT_TRUE(hit.stats.reused_cache);
+    EXPECT_EQ(hit.stats.dp_cells, 0);
+    EXPECT_EQ(hit.stats.tuples_pruned, n);
+    EXPECT_EQ(hit.answer.ids, cold.answer.ids);
+    EXPECT_EQ(hit.answer.statistics, cold.answer.statistics);
+
+    // Another k is another key: a fresh run.
+    EXPECT_FALSE(engine.Run(UTopK(k + 1)).stats.reused_cache);
+  }
+}
+
 TEST(QueryEngineSparseIds, HugeTupleIdsUseNoPositionalArray) {
   // Regression: the facade used to build a position array indexed by the
   // maximum id, so a single id near 10^9 allocated gigabytes. The id index

@@ -7,6 +7,7 @@
 
 #include "serve/result_cache.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -175,6 +176,40 @@ TEST(ResultCache, ClearDropsEntriesButKeepsCounters) {
   EXPECT_EQ(stats.bytes, 0u);
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 1);
+}
+
+TEST(ResultCache, EraseOlderEpochsDropsOnlyThatRelationsStaleEntries) {
+  ResultCache cache(1 << 20);
+  const RankingQueryOptions options =
+      MakeOptions(RankingSemantics::kExpectedRank, 10);
+  for (std::uint64_t epoch : {1u, 2u, 3u}) {
+    cache.Put(MakeResultCacheKey("r", epoch, options), MakeAnswer(10));
+    cache.Put(MakeResultCacheKey("other", epoch, options), MakeAnswer(10));
+  }
+
+  cache.EraseOlderEpochs("r", 3);
+  EXPECT_EQ(cache.Get(MakeResultCacheKey("r", 1, options)), nullptr);
+  EXPECT_EQ(cache.Get(MakeResultCacheKey("r", 2, options)), nullptr);
+  EXPECT_NE(cache.Get(MakeResultCacheKey("r", 3, options)), nullptr);
+  for (std::uint64_t epoch : {1u, 2u, 3u}) {
+    EXPECT_NE(cache.Get(MakeResultCacheKey("other", epoch, options)),
+              nullptr)
+        << epoch;
+  }
+  const ResultCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 4u);
+  const auto answer = MakeAnswer(10);
+  EXPECT_EQ(stats.bytes,
+            ResultCache::ApproximateBytes(
+                MakeResultCacheKey("r", 3, options), *answer) +
+                3 * ResultCache::ApproximateBytes(
+                        MakeResultCacheKey("other", 3, options), *answer));
+  EXPECT_EQ(stats.evictions, 0);  // a purge is not a budget eviction
+
+  // Idempotent, and a relation with no entries is a no-op.
+  cache.EraseOlderEpochs("r", 3);
+  cache.EraseOlderEpochs("missing", 100);
+  EXPECT_EQ(cache.stats().entries, 4u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "serve/client.h"
 #include "serve/tcp.h"
+#include "util/metrics.h"
 
 namespace urank {
 namespace serve {
@@ -121,6 +122,74 @@ TEST(Server, ReloadBumpsEpochAndInvalidatesCachedResults) {
   response = Call(&server, kQueryLine);
   EXPECT_DOUBLE_EQ(response.body.Find("epoch")->number_value(), 2.0);
   EXPECT_EQ(response.cache, CacheOutcome::kMiss);
+}
+
+// Lookups key on the current epoch, so a publish (mutate) or a reload
+// drops the relation's older-epoch cache entries; its current-epoch
+// entries and other relations' entries stay.
+TEST(Server, EpochAdvancePurgesOnlyThatRelationsOlderEntries) {
+  Server server(InlineOptions());
+  server.AddRelation("rel", SmallRelation());
+  server.AddRelation("other", SmallRelation());
+  const std::string other_line =
+      R"({"v":1,"type":"query","id":5,"relation":"other",)"
+      R"("semantics":"expected-rank","k":3})";
+  const RankingQueryOptions options = [] {
+    RankingQueryOptions o;
+    o.k = 3;
+    return o;
+  }();
+  EXPECT_EQ(Call(&server, kQueryLine).cache, CacheOutcome::kMiss);
+  EXPECT_EQ(Call(&server, other_line).cache, CacheOutcome::kMiss);
+  ASSERT_EQ(server.result_cache().stats().entries, 2u);
+
+  // A publish at epoch 2 makes rel's epoch-1 entry unreachable: purged.
+  const ParsedResponse mutate = Call(
+      &server,
+      R"({"v":1,"type":"mutate","id":6,"relation":"rel","ops":[)"
+      R"({"op":"insert","tuple":{"id":9,"score":55.0,"prob":0.4}}]})");
+  ASSERT_EQ(mutate.code, QueryStatusCode::kOk);
+  ResultCache& cache = server.result_cache();
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.Get(MakeResultCacheKey("rel", 1, options)), nullptr);
+  EXPECT_NE(cache.Get(MakeResultCacheKey("other", 1, options)), nullptr);
+
+  // The current epoch's entry survives a purge of older ones.
+  EXPECT_EQ(Call(&server, kQueryLine).cache, CacheOutcome::kMiss);
+  EXPECT_EQ(Call(&server, kQueryLine).cache, CacheOutcome::kHit);
+  EXPECT_NE(cache.Get(MakeResultCacheKey("rel", 2, options)), nullptr);
+  cache.EraseOlderEpochs("rel", 2);
+  EXPECT_EQ(Call(&server, kQueryLine).cache, CacheOutcome::kHit);
+
+  // A reload advances the epoch the same way.
+  server.AddRelation("rel", SmallRelation());
+  EXPECT_EQ(cache.Get(MakeResultCacheKey("rel", 2, options)), nullptr);
+  EXPECT_NE(cache.Get(MakeResultCacheKey("other", 1, options)), nullptr);
+  EXPECT_EQ(cache.stats().entries, 1u);
+}
+
+TEST(Server, MetricsReportProcessResidentBytes) {
+  Server server(InlineOptions());
+  const ParsedResponse response =
+      Call(&server, R"({"v":1,"type":"metrics","id":1})");
+  ASSERT_EQ(response.code, QueryStatusCode::kOk);
+  const std::string& page = response.body.Find("body")->string_value();
+  // The sample line, not the "# TYPE" line above it.
+  const std::string name = "\nurank_serve_process_resident_bytes ";
+  const std::size_t at = page.find(name);
+  ASSERT_NE(at, std::string::npos) << page;
+  const double resident = std::stod(page.substr(at + name.size()));
+#if defined(__linux__)
+  // The gauge records only while metrics are enabled (it renders 0 in a
+  // metrics-off build).
+  if (metrics::Enabled()) {
+    EXPECT_GT(resident, 0.0);
+  } else {
+    EXPECT_EQ(resident, 0.0);
+  }
+#else
+  EXPECT_GE(resident, 0.0);
+#endif
 }
 
 TEST(Server, AdminLoadFromInlineDataAndRelationListing) {
