@@ -81,12 +81,12 @@ void RunExperiment() {
   for (const Workload& workload : Workloads()) {
     AttrRelation rel = GenerateAttrRelation(workload.config);
     for (int k : ks) {
-      const AttrPruneResult pruned = AttrExpectedRankTopKPrune(rel, k);
+      const PrunedTopKResult pruned = AttrExpectedRankTopKPrune(rel, k);
       const std::vector<int> exact = IdsOf(AttrExpectedRankTopK(rel, k));
       const std::vector<int> approx = IdsOf(pruned.topk);
       accessed.AddRow({workload.name, FormatInt(k),
-                       FormatInt(pruned.accessed),
-                       FormatDouble(static_cast<double>(pruned.accessed) / kN,
+                       FormatInt(pruned.tuples_scanned),
+                       FormatDouble(static_cast<double>(pruned.tuples_scanned) / kN,
                                     3)});
       quality.AddRow({workload.name, FormatInt(k),
                       FormatDouble(RecallAgainst(approx, exact), 3),
@@ -104,12 +104,12 @@ void RunExperiment() {
                 {"score dist", "faithful accessed", "clamped accessed"});
   for (const Workload& workload : Workloads()) {
     AttrRelation rel = GenerateAttrRelation(workload.config);
-    const AttrPruneResult faithful =
+    const PrunedTopKResult faithful =
         AttrExpectedRankTopKPrune(rel, 20, /*clamp_tail_bounds=*/false);
-    const AttrPruneResult tight =
+    const PrunedTopKResult tight =
         AttrExpectedRankTopKPrune(rel, 20, /*clamp_tail_bounds=*/true);
-    clamped.AddRow({workload.name, FormatInt(faithful.accessed),
-                    FormatInt(tight.accessed)});
+    clamped.AddRow({workload.name, FormatInt(faithful.tuples_scanned),
+                    FormatInt(tight.tuples_scanned)});
   }
   std::printf("\n");
   clamped.Print();

@@ -50,12 +50,12 @@ double Median(std::vector<double> xs) {
 double OneRep(const TupleRelation& rel) {
   Timer timer;
   QueryEngine engine(rel);
-  RankingQuery q;
-  q.semantics = RankingSemantics::kExpectedRank;
-  q.k = 10;
-  const QueryResult cold = engine.Run(q);
-  q.k = 100;
-  const QueryResult warm = engine.Run(q);
+  QueryRequest request;
+  request.options.semantics = RankingSemantics::kExpectedRank;
+  request.options.k = 10;
+  const QueryResult cold = engine.Run(request);
+  request.options.k = 100;
+  const QueryResult warm = engine.Run(request);
   // Consume the answers so the optimizer cannot drop the work.
   return cold.status.ok() && warm.status.ok() && !warm.answer.ids.empty()
              ? timer.ElapsedMs()

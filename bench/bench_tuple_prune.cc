@@ -45,10 +45,10 @@ void RunExperiment() {
                            Correlation::kNegative}) {
     TupleRelation rel = MakeRelation(corr, 0.2, 1.0);
     for (int k : ks) {
-      const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, k);
+      const PrunedTopKResult pruned = TupleExpectedRankTopKPrune(rel, k);
       by_corr.AddRow({ToString(corr), FormatInt(k),
-                      FormatInt(pruned.accessed),
-                      FormatDouble(static_cast<double>(pruned.accessed) / kN,
+                      FormatInt(pruned.tuples_scanned),
+                      FormatDouble(static_cast<double>(pruned.tuples_scanned) / kN,
                                    4)});
     }
   }
@@ -63,11 +63,11 @@ void RunExperiment() {
       {0.05, 0.2}, {0.2, 0.5}, {0.5, 0.8}, {0.8, 1.0}};
   for (const auto& [lo, hi] : ranges) {
     TupleRelation rel = MakeRelation(Correlation::kIndependent, lo, hi);
-    const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, 50);
+    const PrunedTopKResult pruned = TupleExpectedRankTopKPrune(rel, 50);
     char label[32];
     std::snprintf(label, sizeof(label), "[%.2f, %.2f]", lo, hi);
-    by_prob.AddRow({label, FormatInt(pruned.accessed),
-                    FormatDouble(static_cast<double>(pruned.accessed) / kN,
+    by_prob.AddRow({label, FormatInt(pruned.tuples_scanned),
+                    FormatDouble(static_cast<double>(pruned.tuples_scanned) / kN,
                                  4)});
   }
   by_prob.Print();

@@ -79,10 +79,10 @@ int main() {
 
   // The pruned algorithm reads matches in score order and stops early —
   // the access pattern a disk- or network-resident catalogue wants.
-  const urank::TuplePruneResult pruned =
+  const urank::PrunedTopKResult pruned =
       urank::TupleExpectedRankTopKPrune(catalogue, k);
   std::printf(
-      "\nT-ERank-Prune touched %d of %d matches (answer is exact).\n",
-      pruned.accessed, catalogue.size());
+      "\nT-ERank-Prune touched %lld of %d matches (answer is exact).\n",
+      pruned.tuples_scanned, catalogue.size());
   return 0;
 }

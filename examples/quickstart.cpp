@@ -54,9 +54,9 @@ int main() {
               urank::TupleQuantileRankTopK(tuples, 4, /*phi=*/0.5));
 
   // ---- Pruned evaluation: same answer, fewer tuple accesses.
-  const urank::TuplePruneResult pruned =
+  const urank::PrunedTopKResult pruned =
       urank::TupleExpectedRankTopKPrune(tuples, 2);
-  std::printf("\nT-ERank-Prune touched %d of %d tuples for the top-2.\n",
-              pruned.accessed, tuples.size());
+  std::printf("\nT-ERank-Prune touched %lld of %d tuples for the top-2.\n",
+              pruned.tuples_scanned, tuples.size());
   return 0;
 }

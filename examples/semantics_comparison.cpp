@@ -128,9 +128,10 @@ int main() {
     const urank::RankingQuery base = semantics.query;
     const urank::TupleSemanticsFn fn = [base](const urank::TupleRelation& r,
                                               int k) {
-      urank::RankingQuery query = base;
-      query.k = k;
-      return urank::QueryEngine(r).Run(query).answer.ids;
+      urank::QueryRequest request;
+      request.options = base;
+      request.options.k = k;
+      return urank::QueryEngine(r).Run(request).answer.ids;
     };
     const urank::PropertyReport report =
         urank::CheckTupleProperties(fn, rel, options);

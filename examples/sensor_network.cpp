@@ -73,11 +73,11 @@ int main() {
 
   // Pruned evaluation: sensors stream in expected-temperature order; the
   // Markov bounds stop the scan early.
-  const urank::AttrPruneResult pruned =
+  const urank::PrunedTopKResult pruned =
       urank::AttrExpectedRankTopKPrune(field, k);
   std::printf(
-      "\nA-ERank-Prune answered the top-%d after touching %d of %d "
+      "\nA-ERank-Prune answered the top-%d after touching %lld of %d "
       "sensors.\n",
-      k, pruned.accessed, field.size());
+      k, pruned.tuples_scanned, field.size());
   return 0;
 }

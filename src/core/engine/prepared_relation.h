@@ -20,7 +20,7 @@
 //
 // Equivalence: every cached statistic is produced by exactly the same code
 // path, in the same arithmetic order, as the one-shot free functions, so
-// prepared results are bit-identical to facade results — not merely close.
+// prepared results are bit-identical to one-shot results — not merely close.
 
 #ifndef URANK_CORE_ENGINE_PREPARED_RELATION_H_
 #define URANK_CORE_ENGINE_PREPARED_RELATION_H_
@@ -46,7 +46,7 @@
 
 namespace urank {
 
-struct PrunedTopKResult;  // core/quantile_rank.h
+struct PrunedTopKResult;  // core/ranking.h
 struct UTopKAnswer;       // core/semantics/u_topk.h
 
 namespace internal {

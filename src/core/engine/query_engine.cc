@@ -153,8 +153,8 @@ long long TuplesPruned(long long n, bool prune, const QueryStats& stats) {
 // The dispatchers run the statistic-producing kernel through its
 // parallel-aware overload (which warms the memo cache and reports what it
 // did into `report`), then assemble the answer through the same selection
-// code the serial facade uses — so answers stay bit-identical to the
-// one-shot entry points for any ParallelismOptions. Semantics without a
+// code the one-shot entry points use — so answers stay bit-identical to
+// them for any ParallelismOptions. Semantics without a
 // parallel kernel (linear scans, world enumeration) run serially and
 // leave `report` untouched.
 // `prune` is set only for kMedianRank/kQuantileRank statistic-memo misses
@@ -556,23 +556,6 @@ std::vector<QueryResult> QueryEngine::RunBatch(
                     RunResolved(requests[static_cast<size_t>(i)], resolved);
               });
   return results;
-}
-
-QueryResult QueryEngine::Run(const RankingQuery& query) const {
-  QueryRequest request;
-  request.options = query;
-  request.parallelism = par_;
-  return Run(request);
-}
-
-std::vector<QueryResult> QueryEngine::RunBatch(
-    const std::vector<RankingQuery>& queries, int threads) const {
-  std::vector<QueryRequest> requests(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    requests[i].options = queries[i];
-    requests[i].parallelism = par_;
-  }
-  return RunBatch(requests, threads);
 }
 
 }  // namespace urank

@@ -1,13 +1,10 @@
 // QueryEngine: the prepared-state query surface of the library.
 //
-// The legacy facade (core/query.h) re-derives every piece of shared state
-// — sort orders, prefix sums, rank-distribution matrices — on each call
-// and aborts on invalid options. The engine splits that into an explicit
-// lifecycle:
+// The engine splits a ranking query into an explicit lifecycle:
 //
 //   1. Prepare(relation)  -> shared_ptr<const Prepared*Relation>
 //   2. QueryEngine engine(prepared);
-//   3. engine.Run(query)  -> QueryResult{status, answer, stats}
+//   3. engine.Run(request) -> QueryResult{status, answer, stats}
 //
 // Preparation is paid once per relation; every Run against the same engine
 // reuses the prepared sort orders and the memoized statistic vectors, so a
@@ -27,8 +24,7 @@
 // Malformed *relations* (NaN scores, unnormalized pdfs, bad rule indices)
 // are still hard contract violations caught by URANK_CHECK at model
 // construction — the status codes cover per-query parameters only, which
-// is what a long-lived service wants to survive. The legacy facade keeps
-// its abort-on-bad-options contract by checking the returned status.
+// is what a long-lived service wants to survive.
 //
 // Thread-safety: a QueryEngine holds only shared_ptr<const ...> prepared
 // state, which is internally synchronized (see prepared_relation.h). Run
@@ -52,8 +48,8 @@
 
 namespace urank {
 
-// The engine reuses the facade's option struct: it is already the full
-// parameter surface (semantics, k, phi, threshold, tie policy).
+// The query parameters (semantics, k, phi, threshold, tie policy); the
+// wire protocol's query vocabulary (core/query.h).
 using RankingQuery = RankingQueryOptions;
 
 // The status taxonomy is also the wire protocol's error contract
@@ -112,8 +108,7 @@ struct QueryStatus {
   QueryStatusCode code = QueryStatusCode::kOk;
   // Human-readable detail; empty for kOk. Messages for invalid parameters
   // mirror the URANK_CHECK wording of the one-shot entry points ("k must
-  // be >= 1", "phi must be in (0,1]", ...) so facade callers see the same
-  // diagnostics they always did.
+  // be >= 1", "phi must be in (0,1]", ...).
   std::string message;
 
   bool ok() const { return code == QueryStatusCode::kOk; }
@@ -192,8 +187,7 @@ enum class CacheMode {
 // The one request surface shared by in-process callers and the wire
 // protocol: src/serve/protocol.h serializes exactly this struct (plus a
 // routing envelope), so a request built in code and a request parsed off a
-// socket flow through the same Run path. Replaces the former
-// (RankingQuery, set_parallelism) split — parallelism is part of the
+// socket flow through the same Run path. Parallelism is part of the
 // request, not engine state.
 struct QueryRequest {
   RankingQueryOptions options;
@@ -289,22 +283,6 @@ class QueryEngine {
   std::vector<QueryResult> RunBatch(const std::vector<QueryRequest>& requests,
                                     int threads = 0) const;
 
-  // DEPRECATED compatibility wrappers: the pre-QueryRequest surface. They
-  // wrap the query in a QueryRequest carrying the engine-level parallelism
-  // set via set_parallelism() and forward to the request overloads. New
-  // code should build a QueryRequest (which makes parallelism, deadline
-  // and cache policy explicit and per-request) instead.
-  QueryResult Run(const RankingQuery& query) const;
-  std::vector<QueryResult> RunBatch(const std::vector<RankingQuery>& queries,
-                                    int threads = 0) const;
-
-  // DEPRECATED side-channel consumed only by the legacy Run/RunBatch
-  // wrappers above: intra-query parallelism for the DP kernels behind
-  // cache misses. The QueryRequest overloads ignore this and use
-  // QueryRequest::parallelism.
-  void set_parallelism(const ParallelismOptions& par) { par_ = par; }
-  const ParallelismOptions& parallelism() const { return par_; }
-
   // The snapshot a Run entered now would execute against: the static
   // prepared state, or the mutable store's latest published epoch.
   ResolvedRelation Resolve() const;
@@ -336,7 +314,6 @@ class QueryEngine {
   std::shared_ptr<const PreparedTupleRelation> tuple_;
   std::shared_ptr<MutableAttrRelation> mutable_attr_;
   std::shared_ptr<MutableTupleRelation> mutable_tuple_;
-  ParallelismOptions par_;
 };
 
 }  // namespace urank

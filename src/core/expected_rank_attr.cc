@@ -216,7 +216,7 @@ std::vector<RankedTuple> AttrExpectedRankTopK(
                          k);
 }
 
-AttrPruneResult AttrExpectedRankTopKPrune(const AttrRelation& rel, int k,
+PrunedTopKResult AttrExpectedRankTopKPrune(const AttrRelation& rel, int k,
                                           bool clamp_tail_bounds) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   for (const AttrTuple& t : rel.tuples()) {
@@ -293,7 +293,8 @@ AttrPruneResult AttrExpectedRankTopKPrune(const AttrRelation& rel, int k,
   for (int i = 0; i < curtailed.size(); ++i) {
     ids[static_cast<size_t>(i)] = curtailed.tuple(i).id;
   }
-  return {TopKByStatistic(ids, ranks, k), stream.accessed()};
+  return {TopKByStatistic(ids, ranks, k), stream.accessed(),
+          stream.accessed()};
 }
 
 }  // namespace urank

@@ -71,25 +71,19 @@ std::vector<RankedTuple> AttrExpectedRankTopK(
     const PreparedAttrRelation& prepared, int k, TiePolicy ties,
     const ParallelismOptions& par, KernelReport* report = nullptr);
 
-// Result of the pruned computation: the (approximate) top-k plus the
-// number of tuples retrieved from the sorted stream before the pruning
-// condition fired.
-struct AttrPruneResult {
-  std::vector<RankedTuple> topk;
-  int accessed = 0;
-};
-
-// A-ERank-Prune. Requires every score value to be strictly positive (the
-// Markov tail bounds of eqs. (5)–(6) need non-negative scores bounded away
-// from zero) and k >= 1. Uses the paper's rank definition
-// (TiePolicy::kStrictGreater).
+// A-ERank-Prune: the (approximate) top-k, with tuples_scanned and
+// prune_stop_position both the number of tuples retrieved from the sorted
+// stream before the pruning condition fired. Requires every score value
+// to be strictly positive (the Markov tail bounds of eqs. (5)–(6) need
+// non-negative scores bounded away from zero) and k >= 1. Uses the
+// paper's rank definition (TiePolicy::kStrictGreater).
 //
 // `clamp_tail_bounds` selects the tightened variant (ablation A2): each
 // Markov term E[X_n]/v is a probability bound, so clamping it to
 // min(1, E[X_n]/v) keeps both eqs. (5) and (6) sound while pruning
 // earlier. false reproduces the paper's bounds verbatim.
-AttrPruneResult AttrExpectedRankTopKPrune(const AttrRelation& rel, int k,
-                                          bool clamp_tail_bounds = false);
+PrunedTopKResult AttrExpectedRankTopKPrune(const AttrRelation& rel, int k,
+                                           bool clamp_tail_bounds = false);
 
 }  // namespace urank
 

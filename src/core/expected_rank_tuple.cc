@@ -284,7 +284,7 @@ std::vector<RankedTuple> TupleExpectedRankTopK(
                          k);
 }
 
-TuplePruneResult TupleExpectedRankTopKPrune(const TupleRelation& rel, int k,
+PrunedTopKResult TupleExpectedRankTopKPrune(const TupleRelation& rel, int k,
                                             TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   SortedTupleStream stream(rel);
@@ -349,7 +349,8 @@ TuplePruneResult TupleExpectedRankTopKPrune(const TupleRelation& rel, int k,
     }
   }
 
-  return {TopKByStatistic(seen_ids, seen_ranks, k), stream.accessed()};
+  return {TopKByStatistic(seen_ids, seen_ranks, k), stream.accessed(),
+          stream.accessed()};
 }
 
 }  // namespace urank

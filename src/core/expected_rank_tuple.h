@@ -86,18 +86,13 @@ std::vector<RankedTuple> TupleExpectedRankTopK(
     const PreparedTupleRelation& prepared, int k, TiePolicy ties,
     const ParallelismOptions& par, KernelReport* report = nullptr);
 
-// Result of the pruned computation. `topk` is the exact top-k (the eq. (9)
-// bound is sound, so pruning never changes the answer); `accessed` is the
-// number of tuples retrieved from the sorted stream.
-struct TuplePruneResult {
-  std::vector<RankedTuple> topk;
-  int accessed = 0;
-};
-
-// T-ERank-Prune. Requires k >= 1. The lower bound used for unseen tuples
+// T-ERank-Prune. `topk` is the exact top-k (the eq. (9) bound is sound,
+// so pruning never changes the answer); tuples_scanned and
+// prune_stop_position are both the number of tuples retrieved from the
+// sorted stream. Requires k >= 1. The lower bound used for unseen tuples
 // is the tie-safe refinement of eq. (9): mass of seen tuples scoring
 // strictly above the last retrieved tuple, minus 1.
-TuplePruneResult TupleExpectedRankTopKPrune(
+PrunedTopKResult TupleExpectedRankTopKPrune(
     const TupleRelation& rel, int k,
     TiePolicy ties = TiePolicy::kStrictGreater);
 

@@ -185,6 +185,27 @@ URANK_KERNEL size_t SweepAppearChunk(
   return pos;
 }
 
+URANK_KERNEL size_t SweepChunksSerially(
+    const TupleRelation& rel, const std::vector<int>& order, TiePolicy ties,
+    const TupleSweepEntryTable& entries, KernelArena* arena,
+    const std::function<void(int, const AlignedBuf&)>& per_tuple,
+    const TupleSweepStopFn& stop) {
+  bool stopped = false;
+  const TupleSweepStopFn hook = [&](size_t next, const AlignedBuf& pmf) {
+    stopped = next < order.size() && stop(next, pmf);
+    return stopped;
+  };
+  const int chunks = static_cast<int>(entries.starts.size()) - 1;
+  for (int chunk = 0; chunk < chunks; ++chunk) {
+    const size_t pos = SweepAppearChunk(
+        rel, order, ties, entries.starts[static_cast<size_t>(chunk)],
+        entries.starts[static_cast<size_t>(chunk) + 1],
+        TupleSweepEntryRow(&entries, chunk), arena, per_tuple, &hook);
+    if (stopped) return pos;
+  }
+  return order.size();
+}
+
 AbsentContext::AbsentContext(const TupleRelation& rel) {
   const int m = rel.num_rules();
   rule_sums.resize(static_cast<size_t>(m));

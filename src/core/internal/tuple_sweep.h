@@ -122,6 +122,32 @@ std::size_t SweepAppearChunk(
     const std::function<void(int, const AlignedBuf&)>& per_tuple,
     const TupleSweepStopFn* stop = nullptr);
 
+// Serial execution of the deterministic chunk grid `entries` describes
+// (chunk 0, 1, ..., each started from its memoized entry row): the sweep
+// every pruned tuple-level kernel runs, so each visited tuple sees the
+// bit-identical appear pmf the parallel unpruned kernels compute for it.
+// `stop` is consulted at every run boundary before the last position,
+// chunk ends included. Returns the position the sweep stopped at:
+// order.size() when the stop hook never fired. Every tuple before the
+// returned position was visited, in order.
+std::size_t SweepChunksSerially(
+    const TupleRelation& rel, const std::vector<int>& order, TiePolicy ties,
+    const TupleSweepEntryTable& entries, KernelArena* arena,
+    const std::function<void(int, const AlignedBuf&)>& per_tuple,
+    const TupleSweepStopFn& stop);
+
+// Absolute slack every pruned kernel's stop test gives its bound. The
+// bounds are proven for exact arithmetic, but the bounding CDFs are
+// floating-point sums: when the true bound equals the quantity it is
+// compared against (systematic at phi = 1 or threshold = 1, where a
+// certain-tuple prefix makes the CDF exactly 1), the computed sum can
+// land a few ulps on the wrong side and fire the stop spuriously — while
+// the unpruned kernel, crossing the same threshold on its own rounded
+// sums, keeps the tuple. Requiring the computed bound to clear the
+// comparison by this margin makes every test strictly conservative.
+// Declining to stop never affects the answer, only the scan length.
+inline constexpr double kPruneStopSlack = 1e-9;
+
 // Shared absent-branch state: the pristine world-size Poisson binomial
 // over final rule masses. Built once, sequentially, in rule-index order
 // (PreparedTupleRelation::WorldSize memoizes one per prepared relation);

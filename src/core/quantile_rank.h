@@ -150,14 +150,6 @@ std::vector<RankedTuple> TupleQuantileRankTopK(
 // an empty ladder: the kernel degrades to a full scan, still exact.
 // ---------------------------------------------------------------------------
 
-struct PrunedTopKResult {
-  std::vector<RankedTuple> topk;  // identical to the unpruned TopK answer
-  long long tuples_scanned = 0;   // rank distributions actually computed
-  // Stream position (into escore_order / rank_order) where the scan
-  // stopped; N when the bound never fired and the scan ran out.
-  long long prune_stop_position = 0;
-};
-
 // Requires k >= 1 and phi in (0, 1]. The attribute-level form computes
 // each block's exact rank distributions with `par` worker slots (the
 // bound bookkeeping and heap stay serial in stream order, so results are

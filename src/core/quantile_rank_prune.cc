@@ -61,6 +61,8 @@ struct KBestHeap {
     std::sort_heap(slots.begin(), slots.begin() + static_cast<long>(len));
     std::vector<RankedTuple> out(len);
     for (size_t i = 0; i < len; ++i) {
+      // Repacks (statistic, id) pairs; no probability arithmetic.
+      // urank-lint: allow(kernel-vectorize)
       out[i] = RankedTuple{slots[i].second, slots[i].first};
     }
     return out;
@@ -75,10 +77,11 @@ URANK_KERNEL void TruncatedConvolveTrial(double* pmf, size_t* len,
   if (p <= 0.0) return;
   const size_t n = *len;
   if (n < cap) {
-    // urank-lint: allow(kernel-vectorize) — sequential in-place backward
-    // convolution; vectorizing would reassociate the CDF the bound reads.
+    // Sequential in-place backward convolution; vectorizing would
+    // reassociate the CDF the bound reads.
     pmf[n] = pmf[n - 1] * p;
     for (size_t c = n - 1; c > 0; --c) {
+      // urank-lint: allow(kernel-vectorize)
       pmf[c] = pmf[c] * (1.0 - p) + pmf[c - 1] * p;
     }
     pmf[0] *= (1.0 - p);
@@ -87,26 +90,15 @@ URANK_KERNEL void TruncatedConvolveTrial(double* pmf, size_t* len,
     // A count already >= cap-1 stays there whatever the trial does; the
     // tail only gains the promotions from cap-2.
     pmf[cap - 1] += pmf[cap - 2] * p;
-    // urank-lint: allow(kernel-vectorize)
     for (size_t c = cap - 2; c > 0; --c) {
+      // urank-lint: allow(kernel-vectorize)
       pmf[c] = pmf[c] * (1.0 - p) + pmf[c - 1] * p;
     }
     pmf[0] *= (1.0 - p);
   }
 }
 
-// Absolute slack subtracted from phi in the stop tests. The bounds are
-// proven for exact arithmetic, but the bounding CDFs are floating-point
-// sums: when the true CDF equals phi exactly (systematic at phi = 1,
-// where a certain-tuple prefix makes CDF_Y(kth + 1) = 1), the computed
-// sum can land a few ulps below it and fire the stop spuriously — while
-// the unpruned kernel's QuantileFromPmf, crossing the same threshold on
-// its own rounded sums, keeps the tuple. Requiring the computed bound to
-// clear phi by this margin makes the test strictly conservative: any
-// unscanned tuple's true CDF at the k-th rank then sits far below phi
-// relative to summation error, so its rounded CDF cannot cross either.
-// Declining to stop never affects the answer, only the scan length.
-constexpr double kPruneStopSlack = 1e-9;
+using internal::kPruneStopSlack;
 
 }  // namespace
 
@@ -123,23 +115,18 @@ URANK_KERNEL PrunedTopKResult TupleQuantileRankTopKPrune(
   if (n == 0) return result;
 
   const auto entries = prepared.SweepEntries(ties);
-  const std::vector<size_t>& starts = entries->starts;
-  const int chunks = static_cast<int>(starts.size()) - 1;
   const auto world = prepared.WorldSize();
   const internal::AbsentContext& absent = *world;
   internal::KernelArena arena;
   const vk::KernelOps& ops = vk::Active();
   KBestHeap heap(k, n);
-  long long scanned = 0;
-  bool stopped = false;
 
   // Run-boundary prune test: with Y the Poisson binomial over the flushed
   // per-rule masses (the sweep's own pmf), every unscanned tuple's
   // quantile is >= Q_phi(Y) - 1; stop once CDF_Y(kth + 1) < phi, which
   // makes that lower bound strictly exceed the current k-th best.
-  const internal::TupleSweepStopFn stop = [&](size_t next_pos,
+  const internal::TupleSweepStopFn stop = [&](size_t /*next_pos*/,
                                               const AlignedBuf& pmf) {
-    if (next_pos >= static_cast<size_t>(n)) return false;
     if (!heap.full()) return false;
     const size_t limit = static_cast<size_t>(heap.kth()) + 2;
     if (limit >= pmf.size()) return false;  // CDF over all of pmf is 1
@@ -150,54 +137,46 @@ URANK_KERNEL PrunedTopKResult TupleQuantileRankTopKPrune(
       cdf += pmf[c];
       if (cdf >= phi - kPruneStopSlack) return false;
     }
-    stopped = true;
-    result.prune_stop_position = static_cast<long long>(next_pos);
     return true;
   };
 
-  // Serial execution of the identical deterministic chunk grid the
-  // unpruned kernel runs (chunk 0, 1, ... from the memoized entry table),
-  // with the exact Definition-7 mixture per tuple — so every quantile
-  // matches the unpruned sweep bit-for-bit.
-  for (int chunk = 0; chunk < chunks && !stopped; ++chunk) {
-    // Acquire the highest slot first (see ForEachTupleRankDistribution).
-    AlignedBuf& absent_buf = arena.Doubles(5);
-    AlignedBuf& dist = arena.Doubles(4);
-    dist.assign(static_cast<size_t>(n) + 1, 0.0);
-    size_t dirty = 0;  // high-water mark of the nonzero prefix of dist
-    internal::SweepAppearChunk(
-        rel, order, ties, starts[static_cast<size_t>(chunk)],
-        starts[static_cast<size_t>(chunk) + 1],
-        internal::TupleSweepEntryRow(entries.get(), chunk), &arena,
-        [&](int i, const AlignedBuf& appear) {
-          const TLTuple& t = rel.tuple(i);
-          const size_t na = appear.size();
-          if (dirty > na) {
-            std::fill(dist.begin() + static_cast<long>(na),
-                      dist.begin() + static_cast<long>(dirty), 0.0);
-          }
-          ops.scale(dist.data(), appear.data(), t.prob, na);
-          size_t hi = na;
-          if (t.prob < 1.0 - internal::kTupleSweepProbEps) {
-            const int r = rel.rule_of(i);
-            const double cond = std::clamp(
-                (rel.rule_prob_sum(r) - t.prob) / (1.0 - t.prob), 0.0, 1.0);
-            absent.ConditionalWorldSize(ops, r, cond, &absent_buf);
-            ops.scale_add(dist.data(), absent_buf.data(), 1.0 - t.prob,
-                          absent_buf.size());
-            hi = std::max(hi, absent_buf.size());
-          }
-          dirty = hi;
-          URANK_DCHECK_NORMALIZED(dist);
-          ++scanned;
-          heap.Offer(static_cast<double>(QuantileFromPmf(
-                         std::span<const double>(dist.data(), dist.size()),
-                         phi)),
-                     t.id);
-        },
-        &stop);
-  }
-  result.tuples_scanned = scanned;
+  // The exact Definition-7 mixture per tuple on the unpruned kernel's
+  // chunk grid, so every quantile matches it bit-for-bit. Acquire the
+  // highest arena slot first (see ForEachTupleRankDistribution).
+  AlignedBuf& absent_buf = arena.Doubles(5);
+  AlignedBuf& dist = arena.Doubles(4);
+  dist.assign(static_cast<size_t>(n) + 1, 0.0);
+  size_t dirty = 0;  // high-water mark of the nonzero prefix of dist
+  const size_t stop_pos = internal::SweepChunksSerially(
+      rel, order, ties, *entries, &arena,
+      [&](int i, const AlignedBuf& appear) {
+        const TLTuple& t = rel.tuple(i);
+        const size_t na = appear.size();
+        if (dirty > na) {
+          std::fill(dist.begin() + static_cast<long>(na),
+                    dist.begin() + static_cast<long>(dirty), 0.0);
+        }
+        ops.scale(dist.data(), appear.data(), t.prob, na);
+        size_t hi = na;
+        if (t.prob < 1.0 - internal::kTupleSweepProbEps) {
+          const int r = rel.rule_of(i);
+          const double cond = std::clamp(
+              (rel.rule_prob_sum(r) - t.prob) / (1.0 - t.prob), 0.0, 1.0);
+          absent.ConditionalWorldSize(ops, r, cond, &absent_buf);
+          ops.scale_add(dist.data(), absent_buf.data(), 1.0 - t.prob,
+                        absent_buf.size());
+          hi = std::max(hi, absent_buf.size());
+        }
+        dirty = hi;
+        URANK_DCHECK_NORMALIZED(dist);
+        heap.Offer(static_cast<double>(QuantileFromPmf(
+                       std::span<const double>(dist.data(), dist.size()),
+                       phi)),
+                   t.id);
+      },
+      stop);
+  result.tuples_scanned = static_cast<long long>(stop_pos);
+  result.prune_stop_position = static_cast<long long>(stop_pos);
   result.topk = heap.Ranked();
   return result;
 }
@@ -256,6 +235,8 @@ URANK_KERNEL PrunedTopKResult AttrQuantileRankTopKPrune(
           const size_t s = static_cast<size_t>(slot);
           AttrRankDistributionInto(rel, pdfs, i, ties, &pmf_scratch[s],
                                    &dist[s]);
+          // One quantile per tuple, into its own slot.
+          // urank-lint: allow(kernel-vectorize)
           quant[static_cast<size_t>(j)] = QuantileFromPmf(dist[s], phi);
         });
     if (report != nullptr) {

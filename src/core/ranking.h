@@ -50,6 +50,19 @@ inline std::vector<RankedTuple> TopKByStatistic(
   return all;
 }
 
+// Result of every early-terminating (pruned) top-k kernel: the quantile
+// and median prunes, PT-k, Global-Topk and U-kRanks. `topk` is identical,
+// ids and statistic bits, to the unpruned answer's selection; for the
+// probability semantics the statistic is the negated probability, and a
+// U-kRanks rank no tuple can occupy carries id -1.
+struct PrunedTopKResult {
+  std::vector<RankedTuple> topk;
+  long long tuples_scanned = 0;  // tuples whose statistic was computed
+  // Stream position (into escore_order / rank_order) where the scan
+  // stopped; N when the bound never fired and the scan ran out.
+  long long prune_stop_position = 0;
+};
+
 // Extracts just the ids of a ranked answer, in rank order.
 inline std::vector<int> IdsOf(const std::vector<RankedTuple>& ranked) {
   std::vector<int> ids;

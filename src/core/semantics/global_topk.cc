@@ -1,12 +1,14 @@
 #include "core/semantics/global_topk.h"
 
+#include <functional>
 #include <queue>
 
 #include "core/engine/prepared_relation.h"
+#include "core/internal/tuple_sweep.h"
 #include "core/ranking.h"
-#include "core/semantics/score_sweep.h"
 #include "core/semantics/semantics.h"
 #include "util/check.h"
+#include "util/kernel_annotations.h"
 
 namespace urank {
 
@@ -58,37 +60,36 @@ std::vector<int> TupleGlobalTopK(const PreparedTupleRelation& prepared,
       k));
 }
 
-GlobalTopKPruneResult TupleGlobalTopKPruned(const TupleRelation& rel, int k,
-                                            TiePolicy ties) {
+URANK_KERNEL PrunedTopKResult TupleGlobalTopKPruned(
+    const PreparedTupleRelation& prepared, int k, TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  ScoreOrderSweep sweep(rel, ties);
   std::vector<int> seen_ids;
   std::vector<double> seen_probs;
-  // Max-heap over the k best probabilities seen; top() is the k-th best.
+  // Min-heap over the k best probabilities seen; top() is the k-th best.
   std::priority_queue<double, std::vector<double>, std::greater<double>>
       best_k;
-  while (sweep.HasNext()) {
-    const int i = sweep.Next();
-    const double prob = sweep.TopKProbability(k);
-    seen_ids.push_back(rel.tuple(i).id);
-    seen_probs.push_back(prob);
-    if (static_cast<int>(best_k.size()) < k) {
-      best_k.push(prob);
-    } else if (prob > best_k.top()) {
-      best_k.pop();
-      best_k.push(prob);
-    }
-    // No unseen tuple can displace the k-th best seen probability (strict
-    // comparison: equal-probability unseen tuples cannot enter either,
-    // because the selection breaks ties towards smaller ids and the
-    // comparison is on the probability value the bound dominates).
-    if (static_cast<int>(best_k.size()) == k &&
-        sweep.UnseenTopKBound(k) < best_k.top()) {
-      break;
-    }
-  }
-  return {IdsOf(GlobalTopKSelection(seen_ids, seen_probs, k)),
-          sweep.accessed()};
+  PrunedTopKResult result;
+  result.tuples_scanned = internal::ScanTupleTopKProbabilities(
+      prepared, k, ties,
+      [&](int i, double prob) {
+        seen_ids.push_back(prepared.ids()[static_cast<size_t>(i)]);
+        seen_probs.push_back(prob);
+        if (static_cast<int>(best_k.size()) < k) {
+          best_k.push(prob);
+        } else if (prob > best_k.top()) {
+          best_k.pop();
+          best_k.push(prob);
+        }
+      },
+      [&](double bound) {
+        // An unseen tuple bounded strictly below the k-th best can neither
+        // beat it nor tie it (a tie would be broken by id).
+        return static_cast<int>(best_k.size()) == k &&
+               bound < best_k.top() - internal::kPruneStopSlack;
+      });
+  result.prune_stop_position = result.tuples_scanned;
+  result.topk = GlobalTopKSelection(seen_ids, seen_probs, k);
+  return result;
 }
 
 }  // namespace urank

@@ -36,9 +36,6 @@ std::vector<int> TupleGlobalTopK(const PreparedTupleRelation& prepared,
                                  int k,
                                  TiePolicy ties = TiePolicy::kBreakByIndex);
 
-// Result of the early-terminating evaluation: the same answer as
-// TupleGlobalTopK plus the number of tuples the score-ordered scan
-// retrieved.
 // The Global-Topk selection every entry point above ends in, over a top-k
 // probability vector indexed like `ids`: the min(k, N) tuples of highest
 // probability, ordered by (probability desc, id asc), each carrying
@@ -47,19 +44,16 @@ std::vector<RankedTuple> GlobalTopKSelection(const std::vector<int>& ids,
                                              const std::vector<double>& probs,
                                              int k);
 
-struct GlobalTopKPruneResult {
-  std::vector<int> ids;
-  int accessed = 0;
-};
-
 // Early-terminating Global-Topk on the tuple-level model (the
 // Zhang-Chomicki style scan): consume tuples in decreasing score order
-// computing exact top-k probabilities, and stop once no unseen tuple can
-// beat the k-th best seen probability — an unseen tuple's top-k
-// probability is at most Pr[#appearing seen tuples <= k]. Requires k >= 1;
-// the answer always equals TupleGlobalTopK's.
-GlobalTopKPruneResult TupleGlobalTopKPruned(
-    const TupleRelation& rel, int k,
+// computing exact top-k probabilities on the prepared sweep, and stop once
+// no unseen tuple can beat the k-th best seen probability — an unseen
+// tuple's top-k probability is at most Pr[#appearing seen tuples <= k].
+// `topk` equals GlobalTopKSelection(prepared.ids(),
+// SharedTupleTopKProbabilities(...), k), statistic bits included (negated
+// probabilities). Requires k >= 1.
+PrunedTopKResult TupleGlobalTopKPruned(
+    const PreparedTupleRelation& prepared, int k,
     TiePolicy ties = TiePolicy::kBreakByIndex);
 
 }  // namespace urank

@@ -1,10 +1,14 @@
 #include "core/semantics/pt_k.h"
 
+#include <algorithm>
+
 #include "core/engine/prepared_relation.h"
+#include "core/internal/tuple_sweep.h"
+#include "core/internal/vector_kernels.h"
 #include "core/ranking.h"
-#include "core/semantics/score_sweep.h"
 #include "core/semantics/semantics.h"
 #include "util/check.h"
+#include "util/kernel_annotations.h"
 
 namespace urank {
 
@@ -15,13 +19,12 @@ std::vector<RankedTuple> PTkSelection(const std::vector<int>& ids,
                    "top-k membership probability outside [0,1]");
   // The qualifying tuples are exactly the first `count` entries of the
   // descending-probability order, so a k-bounded selection suffices.
-  int count = 0;
+  const auto count = std::count_if(probs.begin(), probs.end(),
+                                   [&](double p) { return p >= threshold; });
+  // Multiplying by -1 is exact: the same bits as negation.
   std::vector<double> neg(probs.size());
-  for (size_t i = 0; i < probs.size(); ++i) {
-    neg[i] = -probs[i];
-    count += probs[i] >= threshold ? 1 : 0;
-  }
-  return TopKByStatistic(ids, neg, count);
+  vk::Active().scale(neg.data(), probs.data(), -1.0, probs.size());
+  return TopKByStatistic(ids, neg, static_cast<int>(count));
 }
 
 std::vector<int> AttrPTk(const AttrRelation& rel, int k, double threshold,
@@ -68,23 +71,27 @@ std::vector<int> TuplePTk(const PreparedTupleRelation& prepared, int k,
       threshold));
 }
 
-PTkPruneResult TuplePTkPruned(const TupleRelation& rel, int k,
-                              double threshold, TiePolicy ties) {
+URANK_KERNEL PrunedTopKResult TuplePTkPruned(
+    const PreparedTupleRelation& prepared, int k, double threshold,
+    TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   URANK_CHECK_MSG(threshold > 0.0 && threshold <= 1.0,
                   "threshold must be in (0,1]");
-  ScoreOrderSweep sweep(rel, ties);
   std::vector<int> seen_ids;
   std::vector<double> seen_probs;
-  while (sweep.HasNext()) {
-    const int i = sweep.Next();
-    seen_ids.push_back(rel.tuple(i).id);
-    seen_probs.push_back(sweep.TopKProbability(k));
-    // No unseen tuple can reach the threshold once the bound drops below.
-    if (sweep.UnseenTopKBound(k) < threshold) break;
-  }
-  return {IdsOf(PTkSelection(seen_ids, seen_probs, threshold)),
-          sweep.accessed()};
+  PrunedTopKResult result;
+  result.tuples_scanned = internal::ScanTupleTopKProbabilities(
+      prepared, k, ties,
+      [&](int i, double prob) {
+        seen_ids.push_back(prepared.ids()[static_cast<size_t>(i)]);
+        seen_probs.push_back(prob);
+      },
+      [&](double bound) {
+        return bound < threshold - internal::kPruneStopSlack;
+      });
+  result.prune_stop_position = result.tuples_scanned;
+  result.topk = PTkSelection(seen_ids, seen_probs, threshold);
+  return result;
 }
 
 }  // namespace urank

@@ -38,8 +38,6 @@ std::vector<int> TuplePTk(const PreparedTupleRelation& prepared, int k,
                           double threshold,
                           TiePolicy ties = TiePolicy::kBreakByIndex);
 
-// Result of the early-terminating evaluation: the same answer as
-// TuplePTk, plus how many tuples the score-ordered scan retrieved.
 // The PT-k selection every entry point above ends in, over a top-k
 // probability vector indexed like `ids`: the tuples with
 // probs[i] >= threshold, ordered by (probability desc, id asc), each
@@ -49,22 +47,19 @@ std::vector<RankedTuple> PTkSelection(const std::vector<int>& ids,
                                       const std::vector<double>& probs,
                                       double threshold);
 
-struct PTkPruneResult {
-  std::vector<int> ids;
-  int accessed = 0;
-};
-
 // Early-terminating PT-k on the tuple-level model — the access pattern of
-// Hua et al. [23]: consume tuples in decreasing score order, maintain each
-// seen tuple's exact top-k probability through the shared Poisson-binomial
-// sweep, and stop as soon as no unseen tuple can reach the threshold. The
-// stop test is sound: an unseen tuple is outranked by every appearing
-// tuple scanned so far except at most one own-rule sibling, so its top-k
-// probability is at most Pr[#appearing seen tuples <= k]. Requires k >= 1
-// and threshold in (0, 1]; the answer always equals TuplePTk's.
-PTkPruneResult TuplePTkPruned(const TupleRelation& rel, int k,
-                              double threshold,
-                              TiePolicy ties = TiePolicy::kBreakByIndex);
+// Hua et al. [23]: consume tuples in decreasing score order, computing each
+// seen tuple's exact top-k probability on the prepared sweep, and stop as
+// soon as no unseen tuple can reach the threshold. The stop test is sound:
+// an unseen tuple is outranked by every appearing tuple scanned so far
+// (own-rule siblings cannot appear with it), so its top-k probability is
+// at most Pr[#appearing seen tuples <= k]. `topk` equals
+// PTkSelection(prepared.ids(), SharedTupleTopKProbabilities(...),
+// threshold), statistic bits included (negated probabilities). Requires
+// k >= 1 and threshold in (0, 1].
+PrunedTopKResult TuplePTkPruned(const PreparedTupleRelation& prepared, int k,
+                                double threshold,
+                                TiePolicy ties = TiePolicy::kBreakByIndex);
 
 }  // namespace urank
 

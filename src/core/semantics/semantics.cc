@@ -4,10 +4,13 @@
 #include <span>
 
 #include "core/engine/prepared_relation.h"
+#include "core/internal/kernel_arena.h"
+#include "core/internal/tuple_sweep.h"
 #include "core/internal/vector_kernels.h"
 #include "core/rank_distribution_attr.h"
 #include "core/rank_distribution_tuple.h"
 #include "util/check.h"
+#include "util/kernel_annotations.h"
 
 namespace urank {
 
@@ -35,17 +38,18 @@ std::vector<double> AttrTopKProbabilities(const AttrRelation& rel, int k,
 std::vector<double> TupleTopKProbabilities(const TupleRelation& rel, int k,
                                            TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  const std::vector<std::vector<double>> pos =
-      TuplePositionalProbabilities(rel, ties);
+  // Streams the rows and sums min(k, row size) entries, exactly as the
+  // prepared form does: the reassociating sum groups lanes by length, so
+  // summing a zero-padded matrix row instead could differ in the last ulp.
   std::vector<double> probs(static_cast<size_t>(rel.size()), 0.0);
   const vk::KernelOps& ops = vk::Active();
-  for (int i = 0; i < rel.size(); ++i) {
-    const auto& row = pos[static_cast<size_t>(i)];
-    const size_t hi = std::min(static_cast<size_t>(k), row.size());
-    const double cdf = ops.sum(row.data(), hi);
-    URANK_DCHECK_PROB(cdf);
-    probs[static_cast<size_t>(i)] = std::min(cdf, 1.0);
-  }
+  ForEachTuplePositionalDistribution(
+      rel, ties, [&](int i, std::span<const double> row) {
+        const size_t hi = std::min(static_cast<size_t>(k), row.size());
+        const double cdf = ops.sum(row.data(), hi);
+        URANK_DCHECK_PROB(cdf);
+        probs[static_cast<size_t>(i)] = std::min(cdf, 1.0);
+      });
   return probs;
 }
 
@@ -103,10 +107,11 @@ std::shared_ptr<const std::vector<double>> SharedTupleTopKProbabilities(
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   const StatKey key{StatKey::Kind::kTopKProbability, k, 0.0, ties};
   return prepared.CachedStat(key, [&] {
-    // Positional entries at ranks above M are zero, so summing the first
-    // min(k, M+1) streamed entries equals the matrix form's first-k sum.
-    // Chunk callbacks write disjoint positions, so concurrent chunks need
-    // no further coordination.
+    // Sums the first min(k, row size) streamed entries, as the raw form
+    // does. (Positional entries past the row are zero, but summing a
+    // longer zero-padded row is not bit-identical: the reassociating sum
+    // groups lanes by length.) Chunk callbacks write disjoint positions,
+    // so concurrent chunks need no further coordination.
     std::vector<double> probs(static_cast<size_t>(prepared.size()), 0.0);
     const vk::KernelOps& ops = vk::Active();
     const auto entries = prepared.SweepEntries(ties);
@@ -123,4 +128,38 @@ std::shared_ptr<const std::vector<double>> SharedTupleTopKProbabilities(
   });
 }
 
+namespace internal {
+
+URANK_KERNEL long long ScanTupleTopKProbabilities(
+    const PreparedTupleRelation& prepared, int k, TiePolicy ties,
+    const std::function<void(int, double)>& visit,
+    const std::function<bool(double)>& stop) {
+  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
+  const TupleRelation& rel = prepared.relation();
+  if (rel.size() == 0) return 0;
+  const auto entries = prepared.SweepEntries(ties);
+  const vk::KernelOps& ops = vk::Active();
+  KernelArena arena;
+  AlignedBuf& row = arena.Doubles(4);  // above SweepAppearChunk's slots
+  return static_cast<long long>(SweepChunksSerially(
+      rel, prepared.rank_order(), ties, *entries, &arena,
+      [&](int i, const AlignedBuf& appear) {
+        // Only the first hi entries are summed; scale is elementwise, so
+        // scaling just those is bit-identical to scaling the whole row.
+        const size_t hi = std::min(static_cast<size_t>(k), appear.size());
+        row.resize(hi);
+        ops.scale(row.data(), appear.data(), rel.tuple(i).prob, hi);
+        const double cdf = ops.sum(row.data(), hi);
+        URANK_DCHECK_PROB(cdf);
+        visit(i, std::min(cdf, 1.0));
+      },
+      [&](size_t /*next_pos*/, const AlignedBuf& pmf) {
+        const size_t hi = static_cast<size_t>(k) + 1;
+        // Past the pmf's support the CDF is 1: no unvisited tuple is
+        // bounded below anything a stop test compares against.
+        return hi < pmf.size() && stop(ops.sum(pmf.data(), hi));
+      }));
+}
+
+}  // namespace internal
 }  // namespace urank

@@ -11,6 +11,7 @@
 #ifndef URANK_CORE_SEMANTICS_SEMANTICS_H_
 #define URANK_CORE_SEMANTICS_SEMANTICS_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -67,6 +68,27 @@ std::shared_ptr<const std::vector<double>> SharedTupleTopKProbabilities(
     const PreparedTupleRelation& prepared, int k, TiePolicy ties,
     const ParallelismOptions& par, KernelReport* report);
 
+namespace internal {
+
+// The score-order scan behind TuplePTkPruned and TupleGlobalTopKPruned:
+// a serial sweep of the prepared chunk grid (SweepChunksSerially) that
+// computes each visited tuple's top-k probability exactly as
+// SharedTupleTopKProbabilities does — p·appear, then ops.sum over the
+// first min(k, row size) entries, clamped to 1 — so every value is
+// bit-identical to that tuple's entry of the memoized vector.
+// `visit(i, prob)` sees the tuples in rank order. `stop(bound)` runs at
+// every run boundary with an upper bound on the top-k probability of
+// every unvisited tuple: it is outranked by every flushed appearing
+// tuple (own-rule siblings cannot appear with it), so its top-k
+// probability is at most Pr[#appearing flushed tuples <= k]. Returning
+// true ends the scan. Returns the stop position (N when the scan ran
+// out). Requires k >= 1.
+long long ScanTupleTopKProbabilities(
+    const PreparedTupleRelation& prepared, int k, TiePolicy ties,
+    const std::function<void(int, double)>& visit,
+    const std::function<bool(double)>& stop);
+
+}  // namespace internal
 }  // namespace urank
 
 #endif  // URANK_CORE_SEMANTICS_SEMANTICS_H_

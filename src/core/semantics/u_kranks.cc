@@ -4,10 +4,11 @@
 #include <span>
 
 #include "core/engine/prepared_relation.h"
+#include "core/internal/kernel_arena.h"
+#include "core/internal/tuple_sweep.h"
 #include "core/internal/vector_kernels.h"
 #include "core/rank_distribution_attr.h"
 #include "core/rank_distribution_tuple.h"
-#include "core/semantics/score_sweep.h"
 #include "util/check.h"
 #include "util/kernel_annotations.h"
 
@@ -141,33 +142,55 @@ std::vector<int> TupleUKRanks(const PreparedTupleRelation& prepared, int k,
 }
 
 URANK_KERNEL
-UKRanksPruneResult TupleUKRanksPruned(const TupleRelation& rel, int k,
-                                      TiePolicy ties) {
+PrunedTopKResult TupleUKRanksPruned(const PreparedTupleRelation& prepared,
+                                    int k, TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  ScoreOrderSweep sweep(rel, ties);
-  const vk::KernelOps& ops = vk::Active();
-  std::vector<int> winners(static_cast<size_t>(k), -1);
-  std::vector<double> best(static_cast<size_t>(k), 0.0);
-  std::vector<double> positional;
-  while (sweep.HasNext()) {
-    const int i = sweep.Next();
-    const int id = rel.tuple(i).id;
-    sweep.PositionalProbabilities(k, &positional);
-    URANK_DCHECK_MSG(internal::AllFiniteInRange(positional, 0.0, 1.0),
-                     "positional probability outside [0,1]");
-    ops.argmax_merge(positional.data(), id, best.data(), winners.data(),
-                     static_cast<size_t>(k));
-    // Stop once every rank's current winner strictly dominates the bound
-    // achievable by any unseen tuple.
-    bool done = true;
-    for (int r = 0; r < k && done; ++r) {
-      if (sweep.UnseenRankBound(r) >= best[static_cast<size_t>(r)]) {
-        done = false;
-      }
-    }
-    if (done) break;
+  const TupleRelation& rel = prepared.relation();
+  const size_t ranks = static_cast<size_t>(k);
+  std::vector<int> winners(ranks, -1);
+  std::vector<double> best(ranks, 0.0);
+  PrunedTopKResult result;
+  if (rel.size() > 0) {
+    const auto entries = prepared.SweepEntries(ties);
+    const vk::KernelOps& ops = vk::Active();
+    internal::KernelArena arena;
+    internal::AlignedBuf& row = arena.Doubles(4);  // above the sweep's slots
+    result.tuples_scanned = static_cast<long long>(
+        internal::SweepChunksSerially(
+            rel, prepared.rank_order(), ties, *entries, &arena,
+            [&](int i, const internal::AlignedBuf& appear) {
+              // The unpruned fold reads the first min(k, row size) entries
+              // of p·appear; scale is elementwise, so scaling only those
+              // is bit-identical.
+              const size_t hi = std::min(ranks, appear.size());
+              row.resize(hi);
+              ops.scale(row.data(), appear.data(), rel.tuple(i).prob, hi);
+              URANK_DCHECK_MSG(
+                  internal::AllFiniteInRange(
+                      std::span<const double>(row.data(), hi), 0.0, 1.0),
+                  "positional probability outside [0,1]");
+              ops.argmax_merge(row.data(),
+                               prepared.ids()[static_cast<size_t>(i)],
+                               best.data(), winners.data(), hi);
+            },
+            [&](size_t /*next_pos*/, const internal::AlignedBuf& pmf) {
+              // Stop once every rank's winner strictly dominates the bound
+              // CDF(r + 1) any unseen tuple is held to at rank r.
+              double cdf = pmf[0];
+              for (size_t r = 0; r < ranks; ++r) {
+                if (r + 1 >= pmf.size()) return false;  // CDF is 1 here
+                // Early-exit CDF scan over the flushed pmf.
+                // urank-lint: allow(kernel-vectorize)
+                cdf += pmf[r + 1];
+                if (cdf >= best[r] - internal::kPruneStopSlack) return false;
+              }
+              return true;
+            }));
   }
-  return {winners, sweep.accessed()};
+  result.prune_stop_position = result.tuples_scanned;
+  result.topk.resize(ranks);
+  for (size_t r = 0; r < ranks; ++r) result.topk[r] = {winners[r], -best[r]};
+  return result;
 }
 
 }  // namespace urank

@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "core/ranking.h"
 #include "model/attr_model.h"
 #include "model/tuple_model.h"
 #include "model/types.h"
@@ -54,23 +55,19 @@ std::vector<int> TupleUKRanks(const PreparedTupleRelation& prepared, int k,
                               TiePolicy ties, const ParallelismOptions& par,
                               KernelReport* report);
 
-// Result of the early-terminating evaluation: the same answer as
-// TupleUKRanks plus the number of tuples the score-ordered scan retrieved.
-struct UKRanksPruneResult {
-  std::vector<int> ids;
-  int accessed = 0;
-};
-
 // Early-terminating U-kRanks on the tuple-level model (in the spirit of
 // Soliman et al.'s optimized scan): consume tuples in decreasing score
-// order, compute each tuple's exact positional probabilities, and stop
-// when no unseen tuple can win any of the k positions — an unseen tuple's
-// probability at rank r is at most Pr[#appearing seen tuples <= r + 1].
-// Positions whose best seen probability is 0 keep the scan alive to the
-// end (an unseen tuple might still claim them). Requires k >= 1; the
-// answer always equals TupleUKRanks'.
-UKRanksPruneResult TupleUKRanksPruned(
-    const TupleRelation& rel, int k,
+// order on the prepared sweep, fold each tuple's exact positional
+// probabilities into the per-rank winners, and stop when no unseen tuple
+// can win any of the k ranks — an unseen tuple's probability at rank r is
+// at most Pr[#appearing seen tuples <= r + 1]. Ranks whose best seen
+// probability is 0 keep the scan alive to the end (an unseen tuple might
+// still claim them). topk[r] = {winner of rank r, -its probability}, id -1
+// for a rank no tuple can occupy; the ids equal TupleUKRanks' answer and
+// the probabilities the best positional entries of the unpruned sweep,
+// bit for bit. Requires k >= 1.
+PrunedTopKResult TupleUKRanksPruned(
+    const PreparedTupleRelation& prepared, int k,
     TiePolicy ties = TiePolicy::kBreakByIndex);
 
 }  // namespace urank

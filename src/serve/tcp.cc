@@ -7,8 +7,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -69,8 +71,8 @@ bool TcpServer::Start(int port, std::string* error) {
 }
 
 void TcpServer::Shutdown() {
-  // Idempotent: after the first call the joinable() checks and the swapped-
-  // out connection lists make every step below a no-op.
+  // Idempotent: after the first call the joinable() check and the emptied
+  // connection lists make every step below a no-op.
   stop_.store(true);
   if (accept_thread_.joinable()) {
     // Closing the listen socket wakes the poll in AcceptLoop.
@@ -81,17 +83,30 @@ void TcpServer::Shutdown() {
     }
     accept_thread_.join();
   }
-  std::vector<int> fds;
-  std::vector<std::thread> threads;
+  // Every listed fd is still open: a connection thread unlists its fd
+  // and closes it under the same lock.
+  std::list<Connection> conns;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    fds.swap(conn_fds_);
-    threads.swap(conn_threads_);
+    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    conns.splice(conns.end(), conns_);
   }
-  for (int fd : fds) ::shutdown(fd, SHUT_RDWR);
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
+  for (Connection& conn : conns) {
+    if (conn.thread.joinable()) conn.thread.join();
   }
+}
+
+void TcpServer::ReapFinished() {
+  std::list<Connection> finished;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      const auto next = std::next(it);
+      if (it->finished) finished.splice(finished.end(), conns_, it);
+      it = next;
+    }
+  }
+  for (Connection& conn : finished) conn.thread.join();
 }
 
 void TcpServer::AcceptLoop() {
@@ -101,6 +116,7 @@ void TcpServer::AcceptLoop() {
     pfd.events = POLLIN;
     const int ready = ::poll(&pfd, 1, 100);
     if (stop_.load()) return;
+    ReapFinished();
     if (ready <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
@@ -111,13 +127,15 @@ void TcpServer::AcceptLoop() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::lock_guard<std::mutex> lock(conn_mu_);
     conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ConnectionLoop(fd); });
+    Connection& conn = conns_.emplace_back();
+    conn.thread = std::thread([this, fd, &conn] { ConnectionLoop(fd, &conn); });
   }
 }
 
-void TcpServer::ConnectionLoop(int fd) {
+void TcpServer::ConnectionLoop(int fd, Connection* conn) {
   std::string buffer;
   char chunk[4096];
+  bool open = true;
   for (;;) {
     // Serve every complete line already buffered.
     std::size_t start = 0;
@@ -131,10 +149,11 @@ void TcpServer::ConnectionLoop(int fd) {
       std::string response = server_->HandleLine(line);
       response.push_back('\n');
       if (!WriteAll(fd, response)) {
-        ::close(fd);
-        return;
+        open = false;
+        break;
       }
     }
+    if (!open) break;
     buffer.erase(0, start);
 
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
@@ -142,7 +161,10 @@ void TcpServer::ConnectionLoop(int fd) {
     if (n <= 0) break;  // peer closed (or Shutdown shut the socket down)
     buffer.append(chunk, static_cast<std::size_t>(n));
   }
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
   ::close(fd);
+  conn->finished = true;
 }
 
 }  // namespace serve

@@ -13,6 +13,12 @@
 // ephemeral port; port() reports what the kernel assigned (the test and
 // benchmark harnesses depend on this).
 //
+// Each connection thread closes its own fd and marks itself finished
+// under the connection lock, and the accept loop joins finished threads as
+// it goes, so a long-lived server holds one thread per *open* connection,
+// and Shutdown() only ever shuts down fds that are still open (never a
+// closed fd whose number the process may have reused).
+//
 // Shutdown(): stops accepting, shuts down every open connection and
 // joins all transport threads. It does NOT drain the Server — callers
 // sequence transport shutdown and Server::Drain explicitly (urankd does
@@ -22,6 +28,7 @@
 #define URANK_SERVE_TCP_H_
 
 #include <atomic>
+#include <list>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -52,8 +59,17 @@ class TcpServer {
   void Shutdown();
 
  private:
+  // One accepted connection. `finished` is set under conn_mu_ as the
+  // connection thread's last locked step, after it closed its fd.
+  struct Connection {
+    std::thread thread;
+    bool finished = false;
+  };
+
   void AcceptLoop();
-  void ConnectionLoop(int fd);
+  void ConnectionLoop(int fd, Connection* conn);
+  // Joins (outside the lock) every connection thread that has finished.
+  void ReapFinished();
 
   Server* const server_;
   std::atomic<bool> stop_{false};
@@ -62,8 +78,8 @@ class TcpServer {
   std::thread accept_thread_;
 
   std::mutex conn_mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::vector<int> conn_fds_;      // open connection fds
+  std::list<Connection> conns_;    // stable addresses: threads hold them
 };
 
 }  // namespace serve

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -219,6 +220,35 @@ TupleRelation DeconvolutionStressTupleRelation(int n, uint64_t seed) {
         TLTuple{n - 1, scores[static_cast<size_t>(n - 1)], 0.5};
   }
   return TupleRelation(std::move(tuples), std::move(rule_members));
+}
+
+TupleRelation TieHeavyTupleRelation(uint64_t seed) {
+  Rng rng(seed);
+  const int n = static_cast<int>(rng.UniformInt(3, 32));
+  std::vector<TLTuple> tuples(static_cast<size_t>(n));
+  std::vector<std::vector<int>> rules;
+  std::vector<int> open;  // the 1/3 rule being filled, in index order
+  for (int i = 0; i < n; ++i) {
+    const double score = static_cast<double>(rng.UniformInt(0, 7));
+    double prob = 1.0;
+    switch (rng.UniformInt(0, 2)) {
+      case 0:
+        break;
+      case 1:
+        prob = 0.1 * static_cast<double>(rng.UniformInt(1, 9));
+        break;
+      default:
+        prob = 1.0 / 3.0;
+        open.push_back(i);
+        if (open.size() == 3) {
+          rules.push_back(std::move(open));
+          open.clear();
+        }
+    }
+    tuples[static_cast<size_t>(i)] = TLTuple{i, score, prob};
+  }
+  if (!open.empty()) rules.push_back(std::move(open));
+  return TupleRelation(std::move(tuples), std::move(rules));
 }
 
 TupleBlocks SplitIntoBlocks(const TupleRelation& rel, int block) {

@@ -19,7 +19,9 @@
 //     the N=1M benchmarks use: ~`rules` wide exclusion rules plus
 //     independent tuples, buildable in O(N);
 //   * deconvolution stress — rule masses at the numerically hardest
-//     points for the Poisson-binomial division the tuple sweeps use.
+//     points for the Poisson-binomial division the tuple sweeps use;
+//   * tie-heavy small relations — few distinct scores, certain tuples and
+//     exactly-full rules, where pruned stop tests meet their thresholds.
 //
 // All generators are deterministic functions of their arguments (fixed
 // seed => fixed relation) and produce valid relations with ids 0..N-1.
@@ -95,6 +97,15 @@ TupleRelation BoundedSupportTupleRelation(int n, int rules, int singletons,
 // fallback force it through a KernelOps table whose deconvolve_trial
 // fails. Requires n >= 0.
 TupleRelation DeconvolutionStressTupleRelation(int n, uint64_t seed);
+
+// Tie-heavy small relation, the family the pruned PT-k / Global-Topk /
+// U-kRanks identity tests sweep: n uniform in [3, 32], integer scores in
+// [0, 7] (long equal-score runs), and each probability 1.0, 0.1 * j for j
+// uniform in [1, 9], or 1/3, with equal chance. The 1/3 tuples are grouped
+// in index order into rules of up to three members (a full rule's mass
+// sums to exactly 1); every other tuple is independent. Certain tuples and
+// exactly-full rules put the bounding CDFs exactly on the thresholds.
+TupleRelation TieHeavyTupleRelation(uint64_t seed);
 
 // Splits `rel` into contiguous blocks of `block` tuples (the last one
 // ragged) for feeding PreparedTupleRelationBuilder: returns per-block

@@ -116,7 +116,7 @@ TEST_P(ConsistencyFuzz, PruneAgreesWithExactOnTupleModel) {
   const TupleRelation rel = MakeTuple(500);
   for (int k : {1, 13, 60}) {
     const auto exact = TupleExpectedRankTopK(rel, k);
-    const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, k);
+    const PrunedTopKResult pruned = TupleExpectedRankTopKPrune(rel, k);
     ASSERT_EQ(pruned.topk.size(), exact.size());
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_EQ(pruned.topk[i].id, exact[i].id);

@@ -1,14 +1,10 @@
 // Empty relations end to end: zero-block builder Seal, every ranking
-// semantics answering an empty top-k through the engine and the facade,
+// semantics answering an empty top-k through the engine,
 // and the mutable stores publishing empty epochs (including a relation
 // mutated down to empty). The engine short-circuits n == 0 before kernel
 // dispatch; the kernel-level non-empty contracts stay as hard CHECKs,
 // death-tested at the bottom so a future regression to the old abort
 // behavior (or a silent contract removal) is caught either way.
-
-// Part of this suite exercises the deprecated one-shot facade on empty
-// relations, which is exactly the compatibility surface being fixed.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 #include <memory>
 #include <vector>
@@ -77,18 +73,6 @@ TEST(EmptyRelationTest, EngineAnswersAllSemanticsOnEmptyAttrRelation) {
     ASSERT_TRUE(result.status.ok())
         << ToString(semantics) << ": " << result.status.message;
     EXPECT_TRUE(result.answer.ids.empty()) << ToString(semantics);
-  }
-}
-
-TEST(EmptyRelationTest, FacadeAnswersEmptyTopK) {
-  RankingQueryOptions options;
-  options.k = 5;
-  for (RankingSemantics semantics : kAllSemantics) {
-    options.semantics = semantics;
-    EXPECT_TRUE(RunRankingQuery(TupleRelation(), options).ids.empty())
-        << ToString(semantics);
-    EXPECT_TRUE(RunRankingQuery(AttrRelation(), options).ids.empty())
-        << ToString(semantics);
   }
 }
 

@@ -25,7 +25,7 @@ void ExpectSameAnswer(const std::vector<RankedTuple>& a,
 TEST(TuplePruneTest, PaperFig4AllK) {
   for (int k = 1; k <= 4; ++k) {
     const auto exact = TupleExpectedRankTopK(PaperFig4(), k);
-    const TuplePruneResult pruned = TupleExpectedRankTopKPrune(PaperFig4(), k);
+    const PrunedTopKResult pruned = TupleExpectedRankTopKPrune(PaperFig4(), k);
     ExpectSameAnswer(pruned.topk, exact);
   }
 }
@@ -39,10 +39,10 @@ TEST(TuplePruneTest, AlwaysMatchesExactTopK) {
       for (TiePolicy ties :
            {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
         const auto exact = TupleExpectedRankTopK(rel, k, ties);
-        const TuplePruneResult pruned =
+        const PrunedTopKResult pruned =
             TupleExpectedRankTopKPrune(rel, k, ties);
         ExpectSameAnswer(pruned.topk, exact);
-        EXPECT_LE(pruned.accessed, rel.size());
+        EXPECT_LE(pruned.tuples_scanned, rel.size());
       }
     }
   }
@@ -60,8 +60,8 @@ TEST(TuplePruneTest, PrunesWithHighProbabilities) {
   config.seed = 5;
   TupleRelation rel = GenerateTupleRelation(config);
   const int k = 10;
-  const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, k);
-  EXPECT_LT(pruned.accessed, rel.size() / 4);
+  const PrunedTopKResult pruned = TupleExpectedRankTopKPrune(rel, k);
+  EXPECT_LT(pruned.tuples_scanned, rel.size() / 4);
   const auto exact = TupleExpectedRankTopK(rel, k);
   ExpectSameAnswer(pruned.topk, exact);
 }
@@ -75,12 +75,12 @@ TEST(TuplePruneTest, ScansMoreWithLowProbabilities) {
   config.seed = 6;
   TupleRelation rel = GenerateTupleRelation(config);
   const int k = 10;
-  const TuplePruneResult low = TupleExpectedRankTopKPrune(rel, k);
+  const PrunedTopKResult low = TupleExpectedRankTopKPrune(rel, k);
   config.prob_lo = 0.9;
   config.prob_hi = 1.0;
-  const TuplePruneResult high =
+  const PrunedTopKResult high =
       TupleExpectedRankTopKPrune(GenerateTupleRelation(config), k);
-  EXPECT_GT(low.accessed, high.accessed);
+  EXPECT_GT(low.tuples_scanned, high.tuples_scanned);
 }
 
 TEST(TuplePruneTest, CorrectWithExclusionRulesOnGeneratedData) {
@@ -92,7 +92,7 @@ TEST(TuplePruneTest, CorrectWithExclusionRulesOnGeneratedData) {
   TupleRelation rel = GenerateTupleRelation(config);
   for (int k : {1, 10, 50}) {
     const auto exact = TupleExpectedRankTopK(rel, k);
-    const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, k);
+    const PrunedTopKResult pruned = TupleExpectedRankTopKPrune(rel, k);
     ExpectSameAnswer(pruned.topk, exact);
   }
 }
@@ -104,15 +104,15 @@ TEST(TuplePruneTest, TiedScoresStaySound) {
   for (int i = 0; i < 20; ++i) tuples.push_back({i, 5.0, 0.9});
   TupleRelation rel = TupleRelation::Independent(std::move(tuples));
   const auto exact = TupleExpectedRankTopK(rel, 3, TiePolicy::kStrictGreater);
-  const TuplePruneResult pruned =
+  const PrunedTopKResult pruned =
       TupleExpectedRankTopKPrune(rel, 3, TiePolicy::kStrictGreater);
-  EXPECT_EQ(pruned.accessed, rel.size());
+  EXPECT_EQ(pruned.tuples_scanned, rel.size());
   ExpectSameAnswer(pruned.topk, exact);
 }
 
 TEST(TuplePruneTest, SingleTuple) {
   TupleRelation rel = TupleRelation::Independent({{0, 1.0, 0.5}});
-  const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, 1);
+  const PrunedTopKResult pruned = TupleExpectedRankTopKPrune(rel, 1);
   ASSERT_EQ(pruned.topk.size(), 1u);
   EXPECT_EQ(pruned.topk[0].id, 0);
 }

@@ -396,20 +396,22 @@ TEST_P(AttrKernelDeterminismTest, PreparedSemanticsBitIdentical) {
 // serial, so thread-count independence is trivially exercised by
 // query_engine_test) and on attribute relations of this size its world
 // count is not enumerable.
-std::vector<RankingQuery> EngineQueryMix() {
-  std::vector<RankingQuery> queries;
+std::vector<QueryRequest> EngineQueryMix(
+    const ParallelismOptions& par = ParallelismOptions{}) {
+  std::vector<QueryRequest> queries;
   for (RankingSemantics s :
        {RankingSemantics::kExpectedRank, RankingSemantics::kMedianRank,
         RankingSemantics::kQuantileRank, RankingSemantics::kUKRanks,
         RankingSemantics::kPTk, RankingSemantics::kGlobalTopk,
         RankingSemantics::kExpectedScore}) {
-    RankingQuery q;
-    q.semantics = s;
-    q.k = 20;
-    q.phi = 0.3;
-    q.threshold = 0.4;
+    QueryRequest q;
+    q.options.semantics = s;
+    q.options.k = 20;
+    q.options.phi = 0.3;
+    q.options.threshold = 0.4;
+    q.parallelism = par;
     queries.push_back(q);
-    q.ties = TiePolicy::kStrictGreater;
+    q.options.ties = TiePolicy::kStrictGreater;
     queries.push_back(q);
   }
   return queries;
@@ -424,18 +426,18 @@ void ExpectSameResult(const QueryResult& got, const QueryResult& want,
 
 TEST(EngineDeterminismTest, TupleAnswersBitIdenticalAcrossThreadCounts) {
   const TupleRelation rel = MakeClusteredTupleRelation(33000, 64, 200);
-  const std::vector<RankingQuery> queries = EngineQueryMix();
+  const std::vector<QueryRequest> queries = EngineQueryMix();
 
-  QueryEngine baseline(rel);
+  const QueryEngine baseline(rel);
   std::vector<QueryResult> base;
-  for (const RankingQuery& q : queries) base.push_back(baseline.Run(q));
+  for (const QueryRequest& q : queries) base.push_back(baseline.Run(q));
 
   for (int threads : {2, 8}) {
-    QueryEngine engine(rel);  // fresh prepared state — no cache crossover
-    engine.set_parallelism(Par(threads));
+    const QueryEngine engine(rel);  // fresh prepared state — no cache crossover
+    const std::vector<QueryRequest> parallel = EngineQueryMix(Par(threads));
     for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectSameResult(engine.Run(queries[i]), base[i],
-                       ToString(queries[i].semantics));
+      ExpectSameResult(engine.Run(parallel[i]), base[i],
+                       ToString(queries[i].options.semantics));
     }
   }
 }
@@ -445,39 +447,38 @@ TEST(EngineDeterminismTest, AttrAnswersBitIdenticalAcrossThreadCounts) {
   cfg.num_tuples = 160;
   cfg.seed = 3;
   const AttrRelation rel = GenerateAttrRelation(cfg);
-  const std::vector<RankingQuery> queries = EngineQueryMix();
+  const std::vector<QueryRequest> queries = EngineQueryMix();
 
-  QueryEngine baseline(rel);
+  const QueryEngine baseline(rel);
   std::vector<QueryResult> base;
-  for (const RankingQuery& q : queries) base.push_back(baseline.Run(q));
+  for (const QueryRequest& q : queries) base.push_back(baseline.Run(q));
 
   for (int threads : {2, 8}) {
-    QueryEngine engine(rel);
-    engine.set_parallelism(Par(threads));
+    const QueryEngine engine(rel);
+    const std::vector<QueryRequest> parallel = EngineQueryMix(Par(threads));
     for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectSameResult(engine.Run(queries[i]), base[i],
-                       ToString(queries[i].semantics));
+      ExpectSameResult(engine.Run(parallel[i]), base[i],
+                       ToString(queries[i].options.semantics));
     }
   }
 }
 
 TEST(EngineDeterminismTest, AnswersBitIdenticalAcrossPlacementPolicies) {
   const TupleRelation rel = MakeClusteredTupleRelation(33000, 64, 200);
-  const std::vector<RankingQuery> queries = EngineQueryMix();
+  const std::vector<QueryRequest> queries = EngineQueryMix();
 
-  QueryEngine baseline(rel);
+  const QueryEngine baseline(rel);
   std::vector<QueryResult> base;
-  for (const RankingQuery& q : queries) base.push_back(baseline.Run(q));
+  for (const QueryRequest& q : queries) base.push_back(baseline.Run(q));
 
   ScopedPlanningTopology topo("0-3;4-7");
   for (PlacementPolicy placement : kAllPlacements) {
     const QueryEngine engine(rel);  // fresh prepared state per placement
     for (size_t i = 0; i < queries.size(); ++i) {
-      QueryRequest request;
-      request.options = queries[i];
+      QueryRequest request = queries[i];
       request.parallelism = Par(8, placement);
       ExpectSameResult(engine.Run(request), base[i],
-                       ToString(queries[i].semantics));
+                       ToString(queries[i].options.semantics));
     }
   }
 }
@@ -511,30 +512,31 @@ TEST(EngineDeterminismTest, NodeLocalPlacementClampsAndReportsThreads) {
 
 TEST(EngineDeterminismTest, RunBatchComposesWithIntraQueryParallelism) {
   const TupleRelation rel = MakeClusteredTupleRelation(33000, 64, 200);
-  const std::vector<RankingQuery> queries = EngineQueryMix();
+  const std::vector<QueryRequest> queries = EngineQueryMix();
 
-  QueryEngine baseline(rel);
+  const QueryEngine baseline(rel);
   std::vector<QueryResult> base;
-  for (const RankingQuery& q : queries) base.push_back(baseline.Run(q));
+  for (const QueryRequest& q : queries) base.push_back(baseline.Run(q));
 
-  QueryEngine engine(rel);
-  engine.set_parallelism(Par(4));  // intra-query chunks + inter-query batch
-  const std::vector<QueryResult> got = engine.RunBatch(queries, 4);
+  const QueryEngine engine(rel);
+  // Intra-query chunks + inter-query batch.
+  const std::vector<QueryResult> got =
+      engine.RunBatch(EngineQueryMix(Par(4)), 4);
   ASSERT_EQ(got.size(), base.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectSameResult(got[i], base[i], ToString(queries[i].semantics));
+    ExpectSameResult(got[i], base[i], ToString(queries[i].options.semantics));
   }
 }
 
 TEST(EngineDeterminismTest, StatsReportParallelExecutionThenCacheHit) {
   const TupleRelation rel = MakeClusteredTupleRelation(33000, 64, 200);
-  QueryEngine engine(rel);
-  engine.set_parallelism(Par(8));
+  const QueryEngine engine(rel);
 
-  RankingQuery q;
-  q.semantics = RankingSemantics::kQuantileRank;
-  q.k = 10;
-  q.phi = 0.5;
+  QueryRequest q;
+  q.options.semantics = RankingSemantics::kQuantileRank;
+  q.options.k = 10;
+  q.options.phi = 0.5;
+  q.parallelism = Par(8);
 
   const QueryResult cold = engine.Run(q);
   ASSERT_TRUE(cold.status.ok());

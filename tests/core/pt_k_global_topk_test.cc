@@ -4,7 +4,6 @@
 #include "core/semantics/global_topk.h"
 #include "core/semantics/pt_k.h"
 #include "core/semantics/semantics.h"
-#include "gen/tuple_gen.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -113,59 +112,6 @@ TEST(GlobalTopKTest, AgreesWithTopKProbabilities) {
       EXPECT_LE(probs[static_cast<size_t>(i)], kth + 1e-9);
     }
   }
-}
-
-TEST(TuplePTkPrunedTest, MatchesUnprunedOnPaperExample) {
-  for (double threshold : {0.1, 0.3, 0.5, 0.9}) {
-    const PTkPruneResult pruned = TuplePTkPruned(PaperFig4(), 2, threshold);
-    EXPECT_EQ(pruned.ids, TuplePTk(PaperFig4(), 2, threshold))
-        << "threshold " << threshold;
-    EXPECT_LE(pruned.accessed, 4);
-  }
-}
-
-TEST(TuplePTkPrunedTest, MatchesUnprunedOnRandomInstances) {
-  Rng rng(11);
-  for (int trial = 0; trial < 20; ++trial) {
-    TupleRelation rel = testing_util::RandomSmallTuple(rng, 10);
-    for (int k : {1, 3, 6}) {
-      for (double threshold : {0.05, 0.3, 0.7}) {
-        for (TiePolicy ties :
-             {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
-          EXPECT_EQ(TuplePTkPruned(rel, k, threshold, ties).ids,
-                    TuplePTk(rel, k, threshold, ties))
-              << "k=" << k << " p=" << threshold;
-        }
-      }
-    }
-  }
-}
-
-TEST(TuplePTkPrunedTest, StopsEarlyOnLargeRelations) {
-  TupleGenConfig config;
-  config.num_tuples = 5000;
-  config.prob_lo = 0.5;
-  config.seed = 12;
-  TupleRelation rel = GenerateTupleRelation(config);
-  const PTkPruneResult pruned = TuplePTkPruned(rel, 20, 0.5);
-  EXPECT_LT(pruned.accessed, rel.size() / 10);
-  EXPECT_EQ(pruned.ids, TuplePTk(rel, 20, 0.5));
-}
-
-TEST(TuplePTkPrunedTest, HigherThresholdPrunesEarlier) {
-  TupleGenConfig config;
-  config.num_tuples = 5000;
-  config.prob_lo = 0.3;
-  config.seed = 13;
-  TupleRelation rel = GenerateTupleRelation(config);
-  const int low = TuplePTkPruned(rel, 20, 0.05).accessed;
-  const int high = TuplePTkPruned(rel, 20, 0.8).accessed;
-  EXPECT_LE(high, low);
-}
-
-TEST(TuplePTkPrunedDeathTest, RejectsBadArguments) {
-  EXPECT_DEATH(TuplePTkPruned(PaperFig4(), 0, 0.5), "k must be >= 1");
-  EXPECT_DEATH(TuplePTkPruned(PaperFig4(), 1, 0.0), "threshold");
 }
 
 TEST(PTkGlobalTopKDeathTest, RejectsBadArguments) {

@@ -1,16 +1,13 @@
-// QueryEngine tests: engine-vs-facade equivalence for every semantics on
-// both uncertainty models, the recoverable validation taxonomy, RunBatch
-// determinism across thread counts, and cache-reuse statistics.
+// QueryEngine tests: a shared engine against a fresh engine per query (the
+// one-shot path) for every semantics on both uncertainty models, the
+// recoverable validation taxonomy, RunBatch determinism across thread
+// counts, and cache-reuse statistics.
 
 #include "core/engine/query_engine.h"
 
 #include <cstdint>
 #include <numeric>
 #include <vector>
-
-// The equivalence tests deliberately diff engine answers against the
-// deprecated RunRankingQuery facade.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 #include "core/query.h"
 #include "gen/attr_gen.h"
@@ -42,10 +39,16 @@ TupleRelation MakeTuple(int n, uint64_t seed) {
   return GenerateTupleRelation(config);
 }
 
+QueryRequest Req(const RankingQuery& q) {
+  QueryRequest request;
+  request.options = q;
+  return request;
+}
+
 // One query per semantics; k/phi/threshold chosen to produce non-trivial
 // answers on relations of a few dozen tuples.
-std::vector<RankingQuery> AllSemanticsQueries(TiePolicy ties) {
-  std::vector<RankingQuery> queries;
+std::vector<QueryRequest> AllSemanticsQueries(TiePolicy ties) {
+  std::vector<QueryRequest> queries;
   for (RankingSemantics semantics :
        {RankingSemantics::kExpectedRank, RankingSemantics::kMedianRank,
         RankingSemantics::kQuantileRank, RankingSemantics::kUTopk,
@@ -57,7 +60,7 @@ std::vector<RankingQuery> AllSemanticsQueries(TiePolicy ties) {
     q.phi = 0.3;
     q.threshold = 0.1;
     q.ties = ties;
-    queries.push_back(q);
+    queries.push_back(Req(q));
   }
   return queries;
 }
@@ -74,6 +77,14 @@ void ExpectSameAnswer(const RankingAnswer& got, const RankingAnswer& want,
   }
 }
 
+// The "facade" these tests name is the one-shot path: a fresh engine per
+// query, which re-prepares and recomputes every statistic. The shared
+// engine must answer every query identically while reusing its memos.
+template <typename Relation>
+RankingAnswer FreshAnswer(const Relation& rel, const QueryRequest& request) {
+  return QueryEngine(rel).Run(request).answer;
+}
+
 class QueryEngineEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(QueryEngineEquivalence, AttrMatchesFacadeForEverySemantics) {
@@ -83,11 +94,11 @@ TEST_P(QueryEngineEquivalence, AttrMatchesFacadeForEverySemantics) {
   const QueryEngine engine(rel);
   for (TiePolicy ties :
        {TiePolicy::kBreakByIndex, TiePolicy::kStrictGreater}) {
-    for (const RankingQuery& q : AllSemanticsQueries(ties)) {
-      const QueryResult result = engine.Run(q);
-      ASSERT_TRUE(result.status.ok()) << ToString(q.semantics);
-      ExpectSameAnswer(result.answer, RunRankingQuery(rel, q),
-                       ToString(q.semantics));
+    for (const QueryRequest& request : AllSemanticsQueries(ties)) {
+      const char* label = ToString(request.options.semantics);
+      const QueryResult result = engine.Run(request);
+      ASSERT_TRUE(result.status.ok()) << label;
+      ExpectSameAnswer(result.answer, FreshAnswer(rel, request), label);
     }
   }
 }
@@ -97,11 +108,11 @@ TEST_P(QueryEngineEquivalence, TupleMatchesFacadeForEverySemantics) {
   const QueryEngine engine(rel);
   for (TiePolicy ties :
        {TiePolicy::kBreakByIndex, TiePolicy::kStrictGreater}) {
-    for (const RankingQuery& q : AllSemanticsQueries(ties)) {
-      const QueryResult result = engine.Run(q);
-      ASSERT_TRUE(result.status.ok()) << ToString(q.semantics);
-      ExpectSameAnswer(result.answer, RunRankingQuery(rel, q),
-                       ToString(q.semantics));
+    for (const QueryRequest& request : AllSemanticsQueries(ties)) {
+      const char* label = ToString(request.options.semantics);
+      const QueryResult result = engine.Run(request);
+      ASSERT_TRUE(result.status.ok()) << label;
+      ExpectSameAnswer(result.answer, FreshAnswer(rel, request), label);
     }
   }
 }
@@ -111,14 +122,17 @@ TEST_P(QueryEngineEquivalence, RunBatchIsDeterministicAcrossThreadCounts) {
   const QueryEngine engine(rel);
   // Two tie policies' worth of queries, twice over: repeated queries make
   // the memoized statistics contended across workers.
-  std::vector<RankingQuery> batch = AllSemanticsQueries(TiePolicy::kBreakByIndex);
+  std::vector<QueryRequest> batch =
+      AllSemanticsQueries(TiePolicy::kBreakByIndex);
   const auto more = AllSemanticsQueries(TiePolicy::kStrictGreater);
   batch.insert(batch.end(), more.begin(), more.end());
   batch.insert(batch.end(), batch.begin(), batch.end());
 
   std::vector<QueryResult> baseline;
   baseline.reserve(batch.size());
-  for (const RankingQuery& q : batch) baseline.push_back(engine.Run(q));
+  for (const QueryRequest& request : batch) {
+    baseline.push_back(engine.Run(request));
+  }
 
   for (int threads : {1, 2, 5, 8}) {
     const std::vector<QueryResult> results = engine.RunBatch(batch, threads);
@@ -126,7 +140,7 @@ TEST_P(QueryEngineEquivalence, RunBatchIsDeterministicAcrossThreadCounts) {
     for (size_t i = 0; i < batch.size(); ++i) {
       EXPECT_TRUE(results[i].status.ok());
       ExpectSameAnswer(results[i].answer, baseline[i].answer,
-                       ToString(batch[i].semantics));
+                       ToString(batch[i].options.semantics));
     }
   }
 }
@@ -141,7 +155,7 @@ TEST(QueryEngineValidation, RejectsBadParametersRecoverably) {
   RankingQuery q;
   q.semantics = RankingSemantics::kExpectedRank;
   q.k = 0;
-  QueryResult result = engine.Run(q);
+  QueryResult result = engine.Run(Req(q));
   EXPECT_EQ(result.status.code, QueryStatusCode::kInvalidK);
   EXPECT_NE(result.status.message.find("k must be >= 1"), std::string::npos);
   EXPECT_TRUE(result.answer.ids.empty());
@@ -149,19 +163,19 @@ TEST(QueryEngineValidation, RejectsBadParametersRecoverably) {
   q = {};
   q.semantics = RankingSemantics::kQuantileRank;
   q.phi = 1.5;
-  result = engine.Run(q);
+  result = engine.Run(Req(q));
   EXPECT_EQ(result.status.code, QueryStatusCode::kInvalidPhi);
   EXPECT_NE(result.status.message.find("phi"), std::string::npos);
 
   // phi is only a quantile parameter: out-of-range values are ignored
   // elsewhere.
   q.semantics = RankingSemantics::kExpectedRank;
-  EXPECT_TRUE(engine.Run(q).status.ok());
+  EXPECT_TRUE(engine.Run(Req(q)).status.ok());
 
   q = {};
   q.semantics = RankingSemantics::kPTk;
   q.threshold = 0.0;
-  result = engine.Run(q);
+  result = engine.Run(Req(q));
   EXPECT_EQ(result.status.code, QueryStatusCode::kInvalidThreshold);
   EXPECT_NE(result.status.message.find("threshold"), std::string::npos);
 
@@ -179,13 +193,13 @@ TEST(QueryEngineValidation, RejectsNonEnumerableUTopkWorldCount) {
   RankingQuery q;
   q.semantics = RankingSemantics::kUTopk;
   q.k = 3;
-  const QueryResult result = engine.Run(q);
+  const QueryResult result = engine.Run(Req(q));
   EXPECT_EQ(result.status.code, QueryStatusCode::kWorldCountNotEnumerable);
   EXPECT_FALSE(result.status.ok());
 
   // Every other semantics still runs on the same engine.
   q.semantics = RankingSemantics::kExpectedRank;
-  EXPECT_TRUE(engine.Run(q).status.ok());
+  EXPECT_TRUE(engine.Run(Req(q)).status.ok());
 }
 
 TEST(QueryEngineStats, ReportsCacheReuseOnRepeatedStatistics) {
@@ -194,14 +208,14 @@ TEST(QueryEngineStats, ReportsCacheReuseOnRepeatedStatistics) {
   RankingQuery q;
   q.semantics = RankingSemantics::kExpectedRank;
   q.k = 5;
-  const QueryResult cold = engine.Run(q);
+  const QueryResult cold = engine.Run(Req(q));
   EXPECT_FALSE(cold.stats.reused_cache);
   EXPECT_GT(cold.stats.dp_cells, 0);
   EXPECT_EQ(cold.stats.tuples_pruned, 0);
 
   // A different k ranks by the same memoized expected-rank vector.
   q.k = 20;
-  const QueryResult warm = engine.Run(q);
+  const QueryResult warm = engine.Run(Req(q));
   EXPECT_TRUE(warm.stats.reused_cache);
   EXPECT_EQ(warm.stats.dp_cells, 0);
   EXPECT_EQ(warm.stats.tuples_pruned, 50);
@@ -210,28 +224,25 @@ TEST(QueryEngineStats, ReportsCacheReuseOnRepeatedStatistics) {
   // entry.
   q = {};
   q.semantics = RankingSemantics::kMedianRank;
-  EXPECT_FALSE(engine.Run(q).stats.reused_cache);
+  EXPECT_FALSE(engine.Run(Req(q)).stats.reused_cache);
   q.semantics = RankingSemantics::kQuantileRank;
   q.phi = 0.5;
-  EXPECT_TRUE(engine.Run(q).stats.reused_cache);
+  EXPECT_TRUE(engine.Run(Req(q)).stats.reused_cache);
   q.phi = 0.25;
-  EXPECT_FALSE(engine.Run(q).stats.reused_cache);
+  EXPECT_FALSE(engine.Run(Req(q)).stats.reused_cache);
 }
 
 TEST(QueryEngineStats, TinyRelationReportsOneThreadEvenWhenParallelismAsked) {
   // min_parallel_items suppresses the pool for tiny inputs, and
   // threads_used reports threads that actually participated — not the
   // requested ParallelismOptions — so a tiny N must report exactly 1.
-  QueryEngine engine(MakeTuple(40, 23));
-  ParallelismOptions par;
-  par.threads = 8;
-  engine.set_parallelism(par);
-
-  RankingQuery q;
-  q.semantics = RankingSemantics::kQuantileRank;
-  q.k = 5;
-  q.phi = 0.5;
-  const QueryResult cold = engine.Run(q);
+  const QueryEngine engine(MakeTuple(40, 23));
+  QueryRequest request;
+  request.options.semantics = RankingSemantics::kQuantileRank;
+  request.options.k = 5;
+  request.options.phi = 0.5;
+  request.parallelism.threads = 8;
+  const QueryResult cold = engine.Run(request);
   ASSERT_TRUE(cold.status.ok());
   EXPECT_FALSE(cold.stats.reused_cache);
   EXPECT_EQ(cold.stats.threads_used, 1);
@@ -244,7 +255,7 @@ TEST(QueryEngineStats, BatchComputesContendedStatisticExactlyOnce) {
   RankingQuery q;
   q.semantics = RankingSemantics::kExpectedRank;
   q.k = 10;
-  const std::vector<RankingQuery> batch(8, q);
+  const std::vector<QueryRequest> batch(8, Req(q));
   const std::vector<QueryResult> results = engine.RunBatch(batch, 8);
   ASSERT_EQ(results.size(), batch.size());
   for (const QueryResult& r : results) EXPECT_TRUE(r.status.ok());
@@ -411,7 +422,7 @@ TEST(QueryEngineStats, UTopKHitReusesTheFirstRun) {
 }
 
 TEST(QueryEngineSparseIds, HugeTupleIdsUseNoPositionalArray) {
-  // Regression: the facade used to build a position array indexed by the
+  // Regression: query answering used to build a position array indexed by the
   // maximum id, so a single id near 10^9 allocated gigabytes. The id index
   // is now a hash map on both models.
   const TupleRelation rel({{1000000000, 30.0, 0.6},
@@ -426,67 +437,32 @@ TEST(QueryEngineSparseIds, HugeTupleIdsUseNoPositionalArray) {
   RankingQuery q;
   q.semantics = RankingSemantics::kGlobalTopk;
   q.k = 2;
-  const QueryResult result = engine.Run(q);
+  const QueryResult result = engine.Run(Req(q));
   ASSERT_TRUE(result.status.ok());
   ASSERT_EQ(result.answer.ids.size(), 2u);
   ASSERT_EQ(result.answer.statistics.size(), 2u);
   for (double p : result.answer.statistics) EXPECT_GT(p, 0.0);
-
-  // The facade shim inherits the fix.
-  const RankingAnswer facade = RunRankingQuery(rel, q);
-  EXPECT_EQ(facade.ids, result.answer.ids);
 }
 
 TEST(QueryEngineBatch, EmptyBatchAndThreadDefaultsAreSafe) {
   const QueryEngine engine(MakeTuple(10, 19));
-  EXPECT_TRUE(engine.RunBatch(std::vector<RankingQuery>{}, 0).empty());
+  EXPECT_TRUE(engine.RunBatch(std::vector<QueryRequest>{}, 0).empty());
   EXPECT_TRUE(engine.RunBatch(std::vector<QueryRequest>{}, 4).empty());
 
-  RankingQuery q;
-  const auto results = engine.RunBatch({q, q, q}, 0);  // hardware default
+  const QueryRequest request;
+  const auto results =
+      engine.RunBatch({request, request, request}, 0);  // hardware default
   ASSERT_EQ(results.size(), 3u);
   for (const QueryResult& r : results) EXPECT_TRUE(r.status.ok());
 }
 
 // --- The QueryRequest surface (PR 7 API redesign) ---------------------
 
-TEST(QueryRequestSurface, RequestRunMatchesLegacyRunExactly) {
-  const QueryEngine engine(MakeTuple(60, 31));
-  const RankingSemantics all[] = {
-      RankingSemantics::kExpectedRank, RankingSemantics::kMedianRank,
-      RankingSemantics::kQuantileRank, RankingSemantics::kUTopk,
-      RankingSemantics::kUKRanks,      RankingSemantics::kPTk,
-      RankingSemantics::kGlobalTopk,   RankingSemantics::kExpectedScore,
-  };
-  for (RankingSemantics semantics : all) {
-    RankingQuery legacy;
-    legacy.semantics = semantics;
-    legacy.k = 5;
-    legacy.phi = 0.5;
-    legacy.threshold = 0.1;
-
-    QueryRequest request;
-    request.options = legacy;
-
-    const QueryResult via_legacy = engine.Run(legacy);
-    const QueryResult via_request = engine.Run(request);
-    ASSERT_EQ(via_legacy.status.code, via_request.status.code)
-        << ToString(semantics);
-    EXPECT_EQ(via_legacy.answer.ids, via_request.answer.ids)
-        << ToString(semantics);
-    EXPECT_EQ(via_legacy.answer.statistics, via_request.answer.statistics)
-        << ToString(semantics);
-  }
-}
-
 TEST(QueryRequestSurface, PerRequestParallelismReplacesEngineSideChannel) {
-  // One engine, two requests with different parallelism: results must be
-  // bit-identical (determinism contract) and the engine-level setting
-  // must not leak into the request path.
-  QueryEngine engine(MakeTuple(20000, 37));
-  ParallelismOptions engine_par;
-  engine_par.threads = 1;
-  engine.set_parallelism(engine_par);
+  // Two requests with different parallelism: results must be
+  // bit-identical (determinism contract), and each run uses exactly the
+  // parallelism its request carries — the engine holds none of its own.
+  const QueryEngine engine(MakeTuple(20000, 37));
 
   QueryRequest serial;
   serial.options.semantics = RankingSemantics::kExpectedRank;
@@ -525,34 +501,6 @@ TEST(QueryRequestSurface, ServeFieldsPassThroughWithoutAffectingExecution) {
   const QueryResult result = engine.Run(request);
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.answer.ids.size(), 5u);
-}
-
-TEST(QueryRequestSurface, RequestBatchMatchesLegacyBatch) {
-  const QueryEngine engine(MakeTuple(80, 43));
-  std::vector<RankingQuery> legacy;
-  std::vector<QueryRequest> requests;
-  const RankingSemantics mix[] = {RankingSemantics::kExpectedRank,
-                                  RankingSemantics::kPTk,
-                                  RankingSemantics::kGlobalTopk};
-  for (RankingSemantics semantics : mix) {
-    RankingQuery q;
-    q.semantics = semantics;
-    q.k = 8;
-    q.threshold = 0.1;
-    legacy.push_back(q);
-    QueryRequest request;
-    request.options = q;
-    requests.push_back(request);
-  }
-  const std::vector<QueryResult> legacy_results = engine.RunBatch(legacy, 2);
-  const std::vector<QueryResult> request_results =
-      engine.RunBatch(requests, 2);
-  ASSERT_EQ(legacy_results.size(), request_results.size());
-  for (std::size_t i = 0; i < legacy_results.size(); ++i) {
-    EXPECT_EQ(legacy_results[i].answer.ids, request_results[i].answer.ids);
-    EXPECT_EQ(legacy_results[i].answer.statistics,
-              request_results[i].answer.statistics);
-  }
 }
 
 TEST(QueryRequestSurface, ValidationErrorsSurfaceThroughRequestRun) {

@@ -1,11 +1,16 @@
 #include "core/semantics/semantics.h"
 
+#include <cstring>
 #include <vector>
 
+#include "core/engine/prepared_relation.h"
+#include "gen/attr_gen.h"
+#include "gen/tuple_gen.h"
 #include "gtest/gtest.h"
 #include "model/possible_worlds.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace urank {
 namespace {
@@ -105,6 +110,59 @@ TEST(AttrTopKProbabilitiesTest, MatchesEnumeration) {
       ExpectNearVectors(fast, worlds, 1e-9);
     }
   }
+}
+
+// The raw one-shot forms and the prepared (memoized, chunk-parallel)
+// forms must agree bit for bit on every dispatch target. The reassociating
+// sum kernel groups lanes by length, so this holds only because both sum
+// exactly min(k, row size) entries of the same rows; k values above a
+// row's support are what would expose a zero-padded sum.
+TEST(TopKProbabilitiesIdentityTest, RawEqualsPreparedOnEveryTarget) {
+  const SimdTarget saved = ActiveSimdTarget();
+  for (SimdTarget target : {SimdTarget::kScalar, SimdTarget::kNeon,
+                            SimdTarget::kAvx2, SimdTarget::kAvx512}) {
+    if (!SimdTargetAvailable(target)) continue;
+    SetSimdTarget(target);
+    SCOPED_TRACE(ToString(target));
+    for (uint64_t seed : {71u, 72u, 73u}) {
+      TupleGenConfig tuple_config;
+      tuple_config.num_tuples = 1500;
+      tuple_config.seed = seed;
+      const TupleRelation trel = GenerateTupleRelation(tuple_config);
+      AttrGenConfig attr_config;
+      attr_config.num_tuples = 60;
+      attr_config.pdf_size = 4;
+      attr_config.seed = seed;
+      const AttrRelation arel = GenerateAttrRelation(attr_config);
+      // Fresh prepared state per target: the memo must not carry values
+      // computed under another target's kernels.
+      const PreparedTupleRelation tprep(trel);
+      const PreparedAttrRelation aprep(arel);
+      for (TiePolicy ties :
+           {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
+        for (int k : {1, 5, 50, 400}) {
+          const std::vector<double> traw =
+              TupleTopKProbabilities(trel, k, ties);
+          const std::vector<double> tprepared =
+              TupleTopKProbabilities(tprep, k, ties);
+          ASSERT_EQ(traw.size(), tprepared.size());
+          EXPECT_EQ(std::memcmp(traw.data(), tprepared.data(),
+                                traw.size() * sizeof(double)),
+                    0)
+              << "tuple seed " << seed << " k " << k;
+          const std::vector<double> araw = AttrTopKProbabilities(arel, k, ties);
+          const std::vector<double> aprepared =
+              AttrTopKProbabilities(aprep, k, ties);
+          ASSERT_EQ(araw.size(), aprepared.size());
+          EXPECT_EQ(std::memcmp(araw.data(), aprepared.data(),
+                                araw.size() * sizeof(double)),
+                    0)
+              << "attr seed " << seed << " k " << k;
+        }
+      }
+    }
+  }
+  SetSimdTarget(saved);
 }
 
 TEST(TopKProbabilitiesDeathTest, RejectsNonPositiveK) {

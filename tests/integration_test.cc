@@ -38,8 +38,8 @@ TEST(IntegrationTest, AttrPipelineAtScale) {
 
   const auto topk = AttrExpectedRankTopK(rel, 20);
   EXPECT_EQ(topk.size(), 20u);
-  const AttrPruneResult pruned = AttrExpectedRankTopKPrune(rel, 20);
-  EXPECT_LE(pruned.accessed, rel.size());
+  const PrunedTopKResult pruned = AttrExpectedRankTopKPrune(rel, 20);
+  EXPECT_LE(pruned.tuples_scanned, rel.size());
   EXPECT_GE(RecallAgainst(IdsOf(pruned.topk), IdsOf(topk)), 0.7);
 }
 
@@ -58,12 +58,12 @@ TEST(IntegrationTest, TuplePipelineAtScale) {
   }
 
   const auto exact = TupleExpectedRankTopK(rel, 50);
-  const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, 50);
+  const PrunedTopKResult pruned = TupleExpectedRankTopKPrune(rel, 50);
   ASSERT_EQ(pruned.topk.size(), exact.size());
   for (size_t i = 0; i < exact.size(); ++i) {
     EXPECT_EQ(pruned.topk[i].id, exact[i].id);
   }
-  EXPECT_LT(pruned.accessed, rel.size());
+  EXPECT_LT(pruned.tuples_scanned, rel.size());
 }
 
 TEST(IntegrationTest, RankSemanticsFamilyAgreesOnDominantTuple) {

@@ -2,14 +2,22 @@
 // TCP transport: request handling against a live engine, result-cache
 // hit/miss/bypass behavior through the wire surface, epoch bumping on
 // reload, deterministic overload shedding and deadline expiry (workers ==
-// 0 keeps every job queued until Drain), graceful-drain semantics, and a
-// loopback TCP round trip.
+// 0 keeps every job queued until Drain), graceful-drain semantics, a
+// loopback TCP round trip, and connection-thread reaping.
 
 #include "serve/server.h"
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstdio>
 #include <future>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/tuple_gen.h"
@@ -385,6 +393,117 @@ TEST(TcpTransport, LoopbackRoundTripAndShutdown) {
   transport.Shutdown();  // idempotent
   // After shutdown the connection is gone.
   EXPECT_FALSE(client.Call(kQueryLine, &response_line));
+}
+
+// Entries of a /proc/self directory (tasks or fds); -1 where /proc is
+// unavailable.
+int CountProcEntries(const char* dir) {
+  DIR* d = ::opendir(dir);
+  if (d == nullptr) return -1;
+  int count = 0;
+  while (const dirent* e = ::readdir(d)) {
+    if (e->d_name[0] != '.') ++count;
+  }
+  ::closedir(d);
+  return count;
+}
+
+bool FdIsOpen(int fd) { return ::fcntl(fd, F_GETFD) != -1; }
+
+// Number of mappings in /proc/self/maps, or -1 where unavailable. Every
+// unjoined thread keeps its stack (and guard page) mapped.
+int CountMappings() {
+  std::FILE* f = std::fopen("/proc/self/maps", "r");
+  if (f == nullptr) return -1;
+  int lines = 0;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    lines += c == '\n' ? 1 : 0;
+  }
+  std::fclose(f);
+  return lines;
+}
+
+TEST(TcpTransport, FinishedConnectionThreadsAreReaped) {
+  Server server(InlineOptions());
+  server.AddRelation("rel", SmallRelation());
+  TcpServer transport(&server);
+  std::string error;
+  ASSERT_TRUE(transport.Start(0, &error)) << error;
+  const auto cycles = [&](int count) {
+    for (int cycle = 0; cycle < count; ++cycle) {
+      Client client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", transport.port(), &error))
+          << error;
+      std::string response;
+      ASSERT_TRUE(client.Call(R"({"v":1,"type":"ping","id":1})", &response));
+      client.Close();
+    }
+    // The accept loop reaps on every poll wake-up (at most 100 ms apart).
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  };
+  // A warm-up round lets the allocator settle its per-thread arenas.
+  cycles(20);
+  const int tasks_before = CountProcEntries("/proc/self/task");
+  const int maps_before = CountMappings();
+  if (tasks_before < 0 || maps_before < 0) GTEST_SKIP() << "no /proc";
+
+  cycles(200);
+  EXPECT_LE(CountProcEntries("/proc/self/task"), tasks_before + 2);
+  // 200 unjoined threads would keep ~400 stack and guard mappings.
+  EXPECT_LT(CountMappings() - maps_before, 100);
+  transport.Shutdown();
+}
+
+TEST(TcpTransport, ShutdownLeavesAReusedFdNumberAlone) {
+  Server server(InlineOptions());
+  server.AddRelation("rel", SmallRelation());
+  TcpServer transport(&server);
+  std::string error;
+  ASSERT_TRUE(transport.Start(0, &error)) << error;
+
+  // Find the server side's fd: the one the accept opened.
+  std::vector<bool> open_before(1024);
+  for (int fd = 0; fd < 1024; ++fd) open_before[fd] = FdIsOpen(fd);
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", transport.port(), &error)) << error;
+  std::string response;
+  ASSERT_TRUE(client.Call(R"({"v":1,"type":"ping","id":1})", &response));
+  int client_fd = -1;
+  int server_fd = -1;
+  for (int fd = 0; fd < 1024; ++fd) {
+    if (open_before[fd] || !FdIsOpen(fd)) continue;
+    if (client_fd < 0) {
+      client_fd = fd;  // connect ran first, so its fd is the lower one
+    } else {
+      server_fd = fd;
+    }
+  }
+  ASSERT_GE(server_fd, 0);
+
+  // Close the client; the connection thread closes the server side.
+  client.Close();
+  for (int wait = 0; wait < 100 && FdIsOpen(server_fd); ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_FALSE(FdIsOpen(server_fd));
+
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  if (pair[0] != server_fd && pair[1] != server_fd) {
+    ::close(pair[0]);
+    ::close(pair[1]);
+    GTEST_SKIP() << "fd " << server_fd << " was not reused";
+  }
+  transport.Shutdown();
+  // The reused number belongs to the socketpair now: Shutdown must not
+  // have shut it down.
+  const char byte = 'x';
+  EXPECT_EQ(::send(pair[0], &byte, 1, MSG_NOSIGNAL), 1);
+  char got = 0;
+  EXPECT_EQ(::recv(pair[1], &got, 1, MSG_DONTWAIT), 1);
+  EXPECT_EQ(got, 'x');
+  ::close(pair[0]);
+  ::close(pair[1]);
 }
 
 }  // namespace

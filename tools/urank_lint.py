@@ -23,11 +23,10 @@ cannot see:
                    and the bench_runner snapshots stay greppable and
                    self-describing (see docs/OBSERVABILITY.md).
   engine-api       outside src/core/, queries go through the QueryEngine
-                   (core/engine/query_engine.h) or the legacy facade
-                   (core/query.h); direct includes of the per-semantics
-                   headers (core/semantics/*, core/expected_rank_*.h,
-                   core/quantile_rank.h) from other src/ subsystems or
-                   examples/ are flagged. Suppress only where an example
+                   (core/engine/query_engine.h); direct includes of the
+                   per-semantics headers (core/semantics/*,
+                   core/expected_rank_*.h, core/quantile_rank.h) from other
+                   src/ subsystems or examples/ are flagged. Suppress only where an example
                    deliberately showcases the richer per-semantics result
                    types.
   kernel-vectorize the hot DP kernel files must not hand-roll elementwise
@@ -195,8 +194,7 @@ SEMANTICS_INCLUDE_RE = re.compile(
 
 def check_engine_api(root, findings):
     """Per-semantics headers are core-internal: other subsystems and the
-    examples query through core/engine/query_engine.h (or the core/query.h
-    facade)."""
+    examples query through core/engine/query_engine.h."""
     paths = []
     for path in iter_files(root, "src", {".h", ".cc"}):
         rel = relpath(root, path).replace(os.sep, "/")
@@ -337,7 +335,10 @@ KERNEL_FILES = (
     "src/core/expected_rank_tuple.cc",
     "src/core/semantics/semantics.cc",
     "src/core/semantics/u_kranks.cc",
-    "src/core/semantics/score_sweep.cc",
+    "src/core/semantics/pt_k.cc",
+    "src/core/semantics/global_topk.cc",
+    "src/core/quantile_rank_prune.cc",
+    "src/core/internal/tuple_sweep.cc",
     "src/util/poisson_binomial.cc",
 )
 
